@@ -30,9 +30,6 @@ from .ratebath import (
     stats,
     survival,
     waiting_density,
-    spectral_w,
-    spectral_p0,
-    spectral_f,
     kernel_decompose,
     KernelDecomposition,
     sprinkling,

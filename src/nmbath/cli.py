@@ -33,9 +33,7 @@ from .ratebath import (
     FractionalKernelModel,
     default_power_law_window,
     fit_power_law,
-    f_of_u as ratebath_f_of_u,
     kernel_decompose,
-    kernel_of_u as ratebath_kernel_of_u,
     sprinkling,
     stats,
     survival,
@@ -44,9 +42,6 @@ from .ratebath import (
 )
 
 _BASIS_LABELS = ("sx", "sy", "sz", "id")
-
-# beyond this the exact partial-fraction route is numerically meaningless
-PARTIAL_FRACTION_MAX_N = 40
 
 
 def _fmt(x):
@@ -145,25 +140,14 @@ def cmd_kernel(args):
         st = stats(ens)
         w = waiting_density(ens, tg)
         p0 = survival(ens, tg)
-        summary = {"model": "finite", **_ensemble_summary(ens)}
-        if ens.n <= PARTIAL_FRACTION_MAX_N:
-            decomp = kernel_decompose(ens)
-            f = sprinkling(ens, tg)
-            k_reg = decomp.regular_part(tg)
-            f0 = sprinkling(ens, 0.0)
-            summary["markov_weight"] = decomp.markov_weight
-            summary["kernel_poles"] = decomp.poles
-            summary["kernel_amplitudes"] = decomp.amplitudes
-        else:
-            # large manifolds: the exact pole decomposition is ill-conditioned,
-            # so invert the mixture transforms numerically instead
-            f = talbot_invert(lambda u: ratebath_f_of_u(ens, u), tg)
-            k_reg = talbot_invert(
-                lambda u: ratebath_kernel_of_u(ens, u) - st.mean_rate, tg)
-            f0 = float(f[0])
-            summary["markov_weight"] = st.mean_rate
-            summary["kernel_poles_omitted"] = (
-                f"partial fractions limited to N <= {PARTIAL_FRACTION_MAX_N}")
+        decomp = kernel_decompose(ens)
+        f = sprinkling(ens, tg)
+        k_reg = decomp.regular_part(tg)
+        f0 = sprinkling(ens, 0.0)
+        summary = {"model": "finite", **_ensemble_summary(ens),
+                   "markov_weight": decomp.markov_weight,
+                   "kernel_poles": decomp.poles,
+                   "kernel_amplitudes": decomp.amplitudes}
         summary["f_limits"] = {
             "short_time": f0,
             "short_time_expected": st.mean_rate,
@@ -244,10 +228,10 @@ def cmd_evolve(args):
             ra, rb = results[methods[a]], results[methods[b]]
             summary["cross_residuals"][f"{methods[a]}_vs_{methods[b]}"] = float(
                 np.max(np.abs(ra.states - rb.states)))
-    ref = results.get("ensemble") or results.get("volterra")
-    for method in methods:
-        res = results[method]
-        if res.stderr is not None and ref is not None:
+    # each unraveling converges to its own deterministic solver
+    for method, ref_method in (("mc_frozen", "ensemble"), ("mc_renewal", "volterra")):
+        if method in results and ref_method in results:
+            res, ref = results[method], results[ref_method]
             # 1/n floor: when no trajectory populates an entry the estimated
             # standard error collapses to zero while the true error is O(1/n)
             floor = 1.0 / res.n_trajectories
@@ -330,8 +314,8 @@ def cmd_cpcheck(args):
             maps = ensemble_propagator_series(model, tg)
         else:
             maps = volterra_propagator_series(model, tg)
-        mins = np.array([qops.choi_min_eigenvalue(m) for m in maps])
-        traces = np.array([float(np.trace(qops.choi_matrix(m)).real) for m in maps])
+        mins = qops.choi_min_eigenvalue(maps)
+        traces = np.trace(qops.choi_matrix(maps), axis1=1, axis2=2).real
         header.extend([f"min_choi_{method}", f"choi_trace_{method}"])
         cols.extend([mins, traces])
         summary["solvers"][method] = {

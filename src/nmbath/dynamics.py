@@ -28,6 +28,9 @@ from .ratebath import RateEnsemble, KernelDecomposition, kernel_decompose
 
 PICTURES = ("interaction", "schroedinger")
 
+# largest entry of [L_H, L] for which the interaction picture is accepted
+COMMUTATOR_TOL = 1e-10
+
 
 class SolverError(RuntimeError):
     """Raised when a solver precondition or accuracy contract fails."""
@@ -37,9 +40,9 @@ class SolverError(RuntimeError):
 class ModelSpec:
     """System Hamiltonian, jump operators, and the environment rate ensemble.
 
-    ``picture = "interaction"`` drops the coherent term from all generators;
-    the caller asserts that the jump set is form-invariant in the rotating
-    frame (true for dephasing, where the jumps commute with H).
+    ``picture = "interaction"`` drops the coherent term from all generators.
+    That is exact only when the dissipator commutes with L_H (as for
+    dephasing), so the picture is refused otherwise.
     """
 
     hamiltonian: np.ndarray
@@ -51,6 +54,15 @@ class ModelSpec:
         qops.require_hermitian(self.hamiltonian, "Hamiltonian")
         if self.picture not in PICTURES:
             raise ValueError(f"picture must be one of {PICTURES}")
+        if self.picture == "interaction":
+            L_H = qops.hamiltonian_liouvillian(self.hamiltonian)
+            L = dissipator(self)
+            defect = np.max(np.abs(L_H @ L - L @ L_H))
+            if defect > COMMUTATOR_TOL:
+                raise ValueError(
+                    f"jumps do not commute with H (max |[L_H, L]| = {defect:.3e}), so the "
+                    "interaction picture would drop H; use model.picture = schroedinger"
+                )
 
     @property
     def dim(self):
@@ -174,72 +186,69 @@ def ensemble_propagator_series(model: ModelSpec, tgrid):
     return out
 
 
-def _volterra_sweep(x0, tgrid, h, U_loc, mode_props, amps, L, LH_free):
-    """One pass of the exponential-trapezoidal predictor-corrector scheme.
+def _volterra_step_map(model, kernel, h):
+    """Constant one-step matrix Phi of the predictor-corrector scheme.
 
-    ``x0`` may be a vectorized state (d^2,) or a full map (d^2, d^2); the
-    scheme is linear so both propagate identically.
+    The scheme acts on y = (x, m_1..m_n), the state and one memory variable
+    per kernel mode: an exponential-trapezoidal step with a rectangle-rule
+    predictor and two corrector passes.  Every pass is linear with fixed
+    coefficients, so a step is y <- Phi y.  With h2 = h/2, U = exp(h (L_H +
+    <gamma> L)), mode propagators P_j = exp(p_j h) exp(h L_H), A = h2^2
+    (sum c_j) L and Q = sum c_j P_j:
+
+        x'   = [(I + A)(U + h2^2 Q L) + A^2 U] x
+               + sum_k [h2 (I + A)(U + P_k) + h A^2 U] m_k
+        m_j' = P_j m_j + h2 c_j (P_j L x + L x')
     """
-    n_modes = len(amps)
-    x = x0.astype(complex)
-    modes = [np.zeros_like(x) for _ in range(n_modes)]
-    out = np.empty((tgrid.size,) + x.shape, dtype=complex)
-    out[0] = x
-    half = 0.5 * h
-    for k in range(1, tgrid.size):
-        s = L @ x
-        msum = modes[0].copy() if n_modes else np.zeros_like(x)
-        for j in range(1, n_modes):
-            msum += modes[j]
-        base = U_loc @ (x + half * msum)
-        # z_j = E_j (m_j + h/2 c_j L x_n), the exactly-propagated old content
-        z = [mode_props[j] @ (modes[j] + half * amps[j] * s) for j in range(n_modes)]
-        # predictor: rectangle rule for the new-memory contribution
-        x_new = U_loc @ (x + h * msum) if n_modes else U_loc @ x
-        for _ in range(2):
-            if n_modes:
-                s_new = L @ x_new
-                msum_new = z[0] + half * amps[0] * s_new
-                for j in range(1, n_modes):
-                    msum_new += z[j] + half * amps[j] * s_new
-                x_new = base + half * msum_new
-            else:
-                x_new = base
-        if n_modes:
-            s_new = L @ x_new
-            for j in range(n_modes):
-                modes[j] = z[j] + half * amps[j] * s_new
-        x = x_new
-        out[k] = x
-    return out
-
-
-def _volterra_matrices(model, kernel, h):
-    L_H = coherent_liouvillian(model)
     L = dissipator(model)
-    U_loc = scipy.linalg.expm(h * (L_H + kernel.markov_weight * L))
-    mode_props = [scipy.linalg.expm(h * (p * np.eye(L.shape[0]) + L_H)) for p in kernel.poles]
-    return U_loc, mode_props, list(kernel.amplitudes), L, L_H
+    L_H = coherent_liouvillian(model)
+    D, h2, c = L.shape[0], 0.5 * h, kernel.amplitudes
+    U = scipy.linalg.expm(h * (L_H + kernel.markov_weight * L))
+    P = np.exp(kernel.poles * h)[:, None, None] * scipy.linalg.expm(h * L_H)
+    A = h2 * h2 * c.sum() * L
+    IA = np.eye(D) + A
+    AAU = A @ A @ U
+    Q = np.tensordot(c, P, axes=1)
+    x_row = np.hstack([IA @ (U + h2 * h2 * Q @ L) + AAU,
+                       *(h2 * IA @ (U + Pk) + h * AAU for Pk in P)])
+    phi = np.vstack([x_row, np.kron((h2 * c)[:, None], L @ x_row)])
+    for j, Pj in enumerate(P):
+        rows = slice(D * (j + 1), D * (j + 2))
+        phi[rows, :D] += h2 * c[j] * Pj @ L
+        phi[rows, rows] += Pj
+    return phi
 
 
 def _volterra_run(model, x0, tgrid, kernel, check_step, step_tol):
+    """Iterate the step map from (x0, 0); ``x0`` is a state (d^2,) or a map (d^2, d^2)."""
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("Volterra integration must start at t = 0")
-    U_loc, mode_props, amps, L, L_H = _volterra_matrices(model, kernel, h)
-    out = _volterra_sweep(x0, tgrid, h, U_loc, mode_props, amps, L, L_H)
+
+    def sweep(n_steps, step):
+        phi = _volterra_step_map(model, kernel, step)
+        D = x0.shape[0]
+        y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
+        y[:D] = x0
+        out = np.empty((n_steps + 1,) + x0.shape, dtype=complex)
+        out[0] = x0
+        for k in range(1, n_steps + 1):
+            y = phi @ y
+            out[k] = y[:D]
+        return out
+
+    n_steps = tgrid.size - 1
+    out = sweep(n_steps, h)
     richardson = None
     if check_step:
-        fine = np.linspace(tgrid[0], tgrid[-1], 2 * (tgrid.size - 1) + 1)
-        U2, props2, amps2, L2, _ = _volterra_matrices(model, kernel, 0.5 * h)
-        out2 = _volterra_sweep(x0, fine, 0.5 * h, U2, props2, amps2, L2, L_H)
-        richardson = float(np.max(np.abs(out - out2[::2])))
+        fine = sweep(2 * n_steps, 0.5 * h)[::2]
+        richardson = float(np.max(np.abs(out - fine)))
         if richardson > step_tol:
             raise SolverError(
                 f"Volterra step size too coarse: Richardson residual {richardson:.3e} "
                 f"exceeds {step_tol:g}; refine the grid"
             )
-        out = out2[::2]
+        out = fine
     return tgrid, out, richardson
 
 

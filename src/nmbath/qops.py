@@ -206,28 +206,26 @@ def resolvent(gen, u):
 
 
 def choi_matrix(superop):
-    """Choi matrix sum_ab kron(E_ab, M[E_ab]) of a superoperator.
+    """Choi matrix sum_ab kron(E_ab, M[E_ab]) of a superoperator or a stack of them.
 
     With the column-stacking convention this equals
-    sum_k vec(K_k) vec(K_k)^dag over any Kraus set {K_k}.
+    sum_k vec(K_k) vec(K_k)^dag over any Kraus set {K_k}.  Entry
+    [(a,i), (b,j)] is S[i + d j, a + d b], so the Choi matrix is an index
+    reshuffle of S: split both indices into (j, i) and (b, a), swap a and j.
     """
     superop = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(superop.shape[0])))
-    out = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            unit[a, b] = 1.0
-            out += np.kron(unit, apply_superop(superop, unit))
-            unit[a, b] = 0.0
-    return out
+    lead, dsq = superop.shape[:-2], superop.shape[-1]
+    d = int(round(np.sqrt(dsq)))
+    split = superop.reshape(lead + (d, d, d, d))
+    return split.swapaxes(-4, -1).reshape(lead + (dsq, dsq))
 
 
 def choi_min_eigenvalue(superop):
-    """Smallest eigenvalue of the Choi matrix; >= -1e-10 certifies CP."""
+    """Smallest Choi eigenvalue of a map, or of each map in a stack; >= -1e-10 certifies CP."""
     choi = choi_matrix(superop)
-    choi = 0.5 * (choi + choi.conj().T)
-    return float(np.linalg.eigvalsh(choi)[0])
+    choi = 0.5 * (choi + np.conj(np.swapaxes(choi, -1, -2)))
+    out = np.linalg.eigvalsh(choi)[..., 0]
+    return out if out.ndim else float(out)
 
 
 def trace_defect(superop):

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# rates closer than this (relative to the mean rate) are merged so that all
+# rates closer than this (relative to the largest rate) are merged so that all
 # spectral functions keep simple poles
 MERGE_RTOL = 1e-9
+
+# a level whose kernel pole would sit closer than this (relative to its own
+# rate) to -gamma_R is deflated: its pole and zero cancel in K(u)
+DEFLATE_RTOL = 1e-13
 
 TALBOT_NODES = 32
 
@@ -67,8 +71,9 @@ def rate_ensemble(rates, weights, alpha=None):
     order = np.argsort(rates)[::-1]
     rates, weights = rates[order], weights[order]
 
-    mean = float(rates @ weights)
-    tol = MERGE_RTOL * max(mean, np.max(rates), 1e-300)
+    if rates[0] == 0.0:
+        raise ValueError("mean rate is zero: every rate with positive weight is 0")
+    tol = MERGE_RTOL * rates[0]
     merged_r, merged_w = [rates[0]], [weights[0]]
     for r, w in zip(rates[1:], weights[1:]):
         if merged_r[-1] - r < tol:
@@ -186,52 +191,6 @@ def kernel_of_u(ens: RateEnsemble, u):
 
 
 @dataclass(frozen=True)
-class RationalSpectral:
-    """Rational function of the Laplace variable, coefficients highest-first."""
-
-    num: np.ndarray
-    den: np.ndarray
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=complex)
-        out = np.polyval(self.num, u) / np.polyval(self.den, u)
-        return out if out.ndim else complex(out)
-
-
-def _p0_numerator(ens):
-    """Monic degree N-1 numerator of P0(u) over the common denominator."""
-    out = np.zeros(ens.n)
-    for k in range(ens.n):
-        others = np.delete(ens.rates, k)
-        out = out + ens.weights[k] * np.poly(-others)
-    return out
-
-
-def _w_numerator(ens):
-    out = np.zeros(ens.n)
-    for k in range(ens.n):
-        others = np.delete(ens.rates, k)
-        out = out + ens.weights[k] * ens.rates[k] * np.poly(-others)
-    return out
-
-
-def spectral_w(ens: RateEnsemble) -> RationalSpectral:
-    """Laplace transform w(u) = <gamma_R / (u + gamma_R)> as an exact rational."""
-    return RationalSpectral(_w_numerator(ens), np.poly(-ens.rates))
-
-
-def spectral_p0(ens: RateEnsemble) -> RationalSpectral:
-    """Laplace transform P0(u) = <1 / (u + gamma_R)> = [1 - w(u)] / u."""
-    return RationalSpectral(_p0_numerator(ens), np.poly(-ens.rates))
-
-
-def spectral_f(ens: RateEnsemble) -> RationalSpectral:
-    """Sprinkling transform f(u) = w(u) / [1 - w(u)] = w(u) / [u P0(u)]."""
-    den = np.polymul([1.0, 0.0], _p0_numerator(ens))
-    return RationalSpectral(_w_numerator(ens), den)
-
-
-@dataclass(frozen=True)
 class KernelDecomposition:
     """Memory kernel K(t) = markov_weight * delta(t) + sum_j c_j exp(p_j t)."""
 
@@ -262,45 +221,54 @@ class KernelDecomposition:
 
 
 def kernel_decompose(ens: RateEnsemble) -> KernelDecomposition:
-    """Partial fractions of K(u) = w(u) / P0(u).
+    """Partial fractions of K(u) = w(u) / P0(u) = 1 / P0(u) - u.
 
-    The Markovian weight is the mean rate; the poles are the roots of the
-    monic P0 numerator, found from the companion matrix and polished with one
-    Newton step.  Poles must interlace the negated rates and the partial
-    fraction reconstruction must match w/P0 on the positive real axis.
+    The Markovian weight is the mean rate.  The poles are the zeros of
+    P0(u) = q^T (u + diag(gamma))^-1 q with q = sqrt(P): the negated
+    eigenvalues of diag(gamma) compressed onto the complement of q (the
+    rank-one secular problem; Golub, SIAM Review 15, 1973).  Since w = 1 at
+    every zero of P0, the amplitudes are c_j = 1 / P0'(p_j).
+
+    A level of weight P_R puts a zero of P0 at about -gamma_R + P_R / |S_R|,
+    S_R = sum_{k != R} P_k / (gamma_k - gamma_R).  Where that offset is below
+    DEFLATE_RTOL * gamma_R the pole cancels against the zero to working
+    precision, and the level is dropped before the eigen-solve.  Poles must
+    interlace the negated rates of the kept levels, and the reconstruction
+    must match the direct sum w/P0 of the full ensemble on the positive real
+    axis.
     """
     if np.any(ens.rates <= 0):
         raise ValueError("kernel decomposition requires strictly positive rates")
     st = stats(ens)
-    p0_num = _p0_numerator(ens)
-    if ens.n == 1:
-        return KernelDecomposition(st.mean_rate, np.zeros(0), np.zeros(0))
 
-    poles = np.roots(p0_num)
-    dp0 = np.polyder(p0_num)
-    poles = poles - np.polyval(p0_num, poles) / np.polyval(dp0, poles)
-    if np.max(np.abs(poles.imag)) > 1e-9 * np.max(np.abs(poles.real)):
-        raise KernelDecompositionError(
-            f"complex kernel poles found: {poles}"
-        )
-    poles = np.sort(poles.real)[::-1]
+    gap = ens.rates[None, :] - ens.rates[:, None]
+    np.fill_diagonal(gap, np.inf)
+    secular = np.abs((ens.weights / gap).sum(axis=1))
+    keep = ens.weights > DEFLATE_RTOL * ens.rates * secular
+    rates, weights = ens.rates[keep], ens.weights[keep]
 
-    # one pole strictly between each pair of consecutive negated rates
-    neg = -ens.rates  # descending magnitude, i.e. ascending values... rates desc => neg asc
-    neg_sorted = np.sort(neg)[::-1]  # descending: -gamma_min first
-    for j in range(ens.n - 1):
-        if not (neg_sorted[j + 1] < poles[j] < neg_sorted[j]):
+    poles = amps = np.zeros(0)
+    if rates.size > 1:
+        # Householder reflector mapping q to a multiple of e_1; its other
+        # columns are an orthonormal basis of the complement of q
+        q = np.sqrt(weights)
+        basis = np.linalg.qr(q[:, None], mode="complete")[0][:, 1:]
+        eig = np.linalg.eigvalsh(basis.T @ (rates[:, None] * basis))
+
+        # one eigenvalue strictly between each pair of consecutive rates
+        ascending = rates[::-1]
+        escaped = ~((ascending[:-1] < eig) & (eig < ascending[1:]))
+        if np.any(escaped):
+            j = int(np.argmax(escaped))
             raise KernelDecompositionError(
-                f"pole {poles[j]} escapes interval ({neg_sorted[j+1]}, {neg_sorted[j]})"
+                f"pole {-eig[j]} escapes interval ({-ascending[j + 1]}, {-ascending[j]})"
             )
-
-    w_num = _w_numerator(ens)
-    amps = np.polyval(w_num, poles) / np.polyval(dp0, poles)
+        poles = -eig
+        amps = -1.0 / ((1.0 / (poles[:, None] + rates) ** 2) @ weights)
 
     decomp = KernelDecomposition(st.mean_rate, amps, poles)
-    u_check = np.linspace(0.1, 10.0, 50) * max(st.mean_rate, 1e-12)
-    exact = np.polyval(w_num, u_check) / np.polyval(p0_num, u_check)
-    resid = np.max(np.abs(decomp.of_u(u_check) - exact))
+    u_check = np.linspace(0.1, 10.0, 50) * st.mean_rate
+    resid = np.max(np.abs(decomp.of_u(u_check) - kernel_of_u(ens, u_check)))
     if resid > 1e-8 * max(1.0, st.mean_rate):
         raise KernelDecompositionError(
             f"kernel reconstruction residual {resid:.3e} exceeds tolerance"
@@ -480,11 +448,11 @@ def fit_power_law(t, values, window):
 
 
 def default_power_law_window(ens: RateEnsemble, t_max=None):
-    """[5/<gamma>, 1/gamma_min], clipped to the sampled range when given."""
+    """[5/<gamma>, 1/gamma_min] over the positive rates, clipped to t_max when given."""
     st = stats(ens)
     lo = 5.0 / st.mean_rate
-    gamma_min = float(np.min(ens.rates))
-    hi = 1.0 / gamma_min if gamma_min > 0 else math.inf
+    # a zero rate never fires and adds nothing to w(t)
+    hi = 1.0 / float(np.min(ens.rates[ens.rates > 0]))
     if t_max is not None:
         hi = min(hi, t_max)
     if hi <= lo:

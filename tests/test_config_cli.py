@@ -31,6 +31,32 @@ fitpow.window_hi = 500.0
 """
 
 
+COMMANDS = ("kernel", "evolve", "correlate", "cpcheck", "fitpow")
+CUSTOM_RATES_CFG = "ensemble.type = custom\nensemble.rates = {}\nensemble.weights = 0.5,0.5\n"
+P_UP_CFG = "ensemble.type = two_state\nensemble.p_up = {}\n"
+MANIFOLD_ABN_CFG = ("ensemble.type = manifold\nensemble.gamma = 1.0\nensemble.a = {}\n"
+                    "ensemble.b = {}\nensemble.n = {}\n")
+
+# hostile but parseable configs: (config, {command: required exit code}); every
+# other command may end in any documented exit code
+HOSTILE = {
+    "zero_rates": (CUSTOM_RATES_CFG.format("0,0"), dict.fromkeys(COMMANDS, 2)),
+    "one_zero_rate": (CUSTOM_RATES_CFG.format("0,1"), {"fitpow": 0}),
+    "p_up_0": (P_UP_CFG.format(0), {}),
+    "p_up_1": (P_UP_CFG.format(1), {}),
+    "manifold_n_1": (MANIFOLD_ABN_CFG.format(0.3, 0.4, 1), {}),
+    "manifold_b_0": (MANIFOLD_ABN_CFG.format(0.3, 0.0, 5), {}),
+    "steps_1": (P_UP_CFG.format(0.5) + "grid.steps = 1\n", {}),
+    "t_max_tiny": (P_UP_CFG.format(0.5) + "grid.t_max = 1e-9\n", {}),
+    "t_max_huge": (P_UP_CFG.format(0.5) + "grid.t_max = 1e6\n", {}),
+    "interaction_sigma_x": (P_UP_CFG.format(0.5) + "model.jumps = matrix\n"
+                            "model.jump_matrices = 0,1;1,0\n",
+                            {"evolve": 2, "correlate": 2, "cpcheck": 2}),
+    "manifold_n_20": (MANIFOLD_ABN_CFG.format(0.1, 0.1, 20),
+                      {"kernel": 0, "evolve": 0, "cpcheck": 0}),
+}
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -142,6 +168,15 @@ class TestKernelCommand:
         summary = load_json(os.path.join(out, "kernel_summary.json"))
         assert abs(summary["alpha"] - 0.5) < 1e-12
 
+    def test_manifold_with_negligible_slow_levels(self, tmp_path):
+        # weights down to 1e-43: the secular route deflates the slow levels
+        cfg = write_cfg(tmp_path, MANIFOLD_ABN_CFG.format(0.5, 0.1, 200))
+        out = str(tmp_path / "out")
+        assert run_cli("kernel", "--config", cfg, "--out", out) == 0
+        summary = load_json(os.path.join(out, "kernel_summary.json"))
+        assert len(summary["kernel_poles"]) < len(summary["rates"]) - 1
+        assert summary["f_limits"]["short_time_rel_error"] < 1e-10
+
     def test_fractional_kernel(self, tmp_path):
         text = "ensemble.type = fractional\nensemble.alpha = 0.5\n" \
                "ensemble.mean_rate = 1.0\nensemble.beta = 1.0\nensemble.tau = inf\n" \
@@ -181,6 +216,15 @@ class TestEvolveCommand:
         mask = a > 1e-4
         ratio = np.median(b[mask] / a[mask])
         assert 0.4 < ratio < 0.6
+
+    def test_mc_z_scores_use_converged_reference(self, tmp_path):
+        # mc_renewal converges to volterra, which did not run: no score for it
+        text = TWO_STATE_CFG.replace("ensemble,volterra", "ensemble,mc_frozen,mc_renewal")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert run_cli("evolve", "--config", cfg, "--out", out) == 0
+        summary = load_json(os.path.join(out, "evolve_summary.json"))
+        assert set(summary["mc_max_z"]) == {"mc_frozen"}
 
     def test_empty_solver_list_is_noop(self, tmp_path, capsys):
         text = TWO_STATE_CFG.replace("ensemble,volterra", "")
@@ -292,6 +336,16 @@ class TestCliContract:
         a = open(os.path.join(o1, "evolve_mc_frozen.csv"), "rb").read()
         b = open(os.path.join(o2, "evolve_mc_frozen.csv"), "rb").read()
         assert a != b
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_configs_end_in_documented_exit(self, tmp_path, capfd, name):
+        text, required = HOSTILE[name]
+        cfg = write_cfg(tmp_path, text)
+        for command in COMMANDS:
+            code = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
+            err = capfd.readouterr().err
+            assert code == required.get(command, code) and code in (0, 2, 3), (command, err)
+            assert "Traceback" not in err and err.count("\n") <= 1, (command, err)
 
     @pytest.mark.parametrize("command,cfg_text", [
         ("kernel", TWO_STATE_CFG),

@@ -213,11 +213,18 @@ class TestChoi:
         superop = np.kron(K1.conj(), K1)
         v = qops.vectorize(K1)[:, None]
         assert np.allclose(qops.choi_matrix(superop), v @ v.conj().T, atol=1e-12)
+        # a stack of maps gives the stack of their Choi matrices
+        kraus = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        stack = np.array([np.kron(K.conj(), K) for K in kraus])
+        outer = np.array([np.outer(qops.vectorize(K), qops.vectorize(K).conj()) for K in kraus])
+        assert np.allclose(qops.choi_matrix(stack), outer, atol=1e-12)
 
     def test_transpose_map_not_cp(self):
         perm = np.arange(4).reshape(2, 2, order="F").reshape(-1, order="C")
         transpose_map = np.eye(4)[perm]
         assert abs(qops.choi_min_eigenvalue(transpose_map) + 1.0) < 1e-12
+        mins = qops.choi_min_eigenvalue(np.stack([transpose_map, np.eye(4)]))
+        assert np.allclose(mins, [-1.0, 0.0], atol=1e-12)
 
 
 class TestMapInvariants:

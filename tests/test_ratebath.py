@@ -157,24 +157,23 @@ class TestSurvival:
 
 class TestSpectral:
     def test_single_rate_w(self):
-        spec = rb.spectral_w(rb.single_rate_ensemble(1.3))
         u = np.linspace(0.1, 10, 25)
-        assert np.allclose(spec(u), 1.3 / (u + 1.3), atol=1e-14)
+        w = rb.w_of_u(rb.single_rate_ensemble(1.3), u)
+        assert np.allclose(w, 1.3 / (u + 1.3), atol=1e-14)
 
     def test_w_at_zero_is_one(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             ens = random_ensemble(rng)
-            assert abs(rb.spectral_w(ens)(0.0) - 1.0) < 1e-12
+            assert abs(rb.w_of_u(ens, 0.0) - 1.0) < 1e-12
 
     def test_p0_consistency(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             ens = random_ensemble(rng)
-            w = rb.spectral_w(ens)
-            p0 = rb.spectral_p0(ens)
             u = np.linspace(0.05, 12.0, 40)
-            assert np.max(np.abs(p0(u) - (1.0 - w(u)) / u)) < 1e-12
+            p0 = rb.p0_of_u(ens, u)
+            assert np.max(np.abs(p0 - (1.0 - rb.w_of_u(ens, u)) / u)) < 1e-12
 
     def test_two_state_closed_form(self):
         # w(u) = <g> / (u + <g> + beta sigma(u)), sigma = u / (u + eta/(<g><tau>))
@@ -189,13 +188,13 @@ class TestSpectral:
             u = np.linspace(0.05, 8.0, 20)
             sigma = u / (u + st.eta / (st.mean_rate * st.mean_waiting_time))
             closed = st.mean_rate / (u + st.mean_rate + st.fluctuation_rate * sigma)
-            assert np.max(np.abs(rb.spectral_w(ens)(u) - closed)) < 1e-10
+            assert np.max(np.abs(rb.w_of_u(ens, u) - closed)) < 1e-10
 
     def test_high_frequency_limit(self):
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         st = rb.stats(ens)
         u = 1e6
-        assert abs(u * rb.spectral_w(ens)(u) - st.mean_rate) < 1e-4
+        assert abs(u * rb.w_of_u(ens, u) - st.mean_rate) < 1e-4
 
     def test_low_frequency_expansion(self):
         # w(u) = 1 - u <tau> + O(u^2)
@@ -204,7 +203,7 @@ class TestSpectral:
             ens = random_ensemble(rng)
             st = rb.stats(ens)
             u = 1e-7
-            w = rb.spectral_w(ens)(u)
+            w = rb.w_of_u(ens, u)
             assert abs((1.0 - w) / u - st.mean_waiting_time) < 1e-4
 
 
@@ -246,10 +245,39 @@ class TestKernelDecomposition:
         for _ in range(20):
             ens = random_ensemble(rng)
             dec = rb.kernel_decompose(ens)
-            w = rb.spectral_w(ens)
-            p0 = rb.spectral_p0(ens)
             u = np.linspace(0.1, 10.0, 50) * rb.stats(ens).mean_rate
-            assert np.max(np.abs(dec.of_u(u) - w(u) / p0(u))) < 1e-8
+            exact = rb.w_of_u(ens, u) / rb.p0_of_u(ens, u)
+            assert np.max(np.abs(dec.of_u(u) - exact)) < 1e-8
+
+    @pytest.mark.parametrize("n", [10, 40, 200])
+    @pytest.mark.parametrize("a,b", [(0.1, 0.1), (0.3, 0.2), (0.3, 0.5)])
+    def test_secular_poles_many_levels(self, n, a, b):
+        # companion-matrix roots lost these manifolds from n = 12, 22 and 31
+        ens = rb.manifold_ensemble(1.0, a, b, n)
+        dec = rb.kernel_decompose(ens)
+        assert dec.n_modes == ens.n - 1
+        # poles descend, one strictly inside each gap of the negated rates
+        neg = -ens.rates[::-1]
+        assert np.all((neg[1:] < dec.poles) & (dec.poles < neg[:-1]))
+        u = np.geomspace(1e-3, 1e3, 200) * rb.stats(ens).mean_rate
+        exact = rb.kernel_of_u(ens, u)
+        assert np.max(np.abs(dec.of_u(u) - exact) / np.abs(exact)) < 1e-12
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_deflates_levels_below_round_off(self, n):
+        # slow levels weighted near 1e-39 put a zero of P0 closer to their
+        # rate than double precision resolves; without deflation the
+        # interlacing gate refuses these manifolds
+        ens = rb.manifold_ensemble(1.0, 0.5, 0.1, n)
+        dec = rb.kernel_decompose(ens)
+        assert 0 < dec.n_modes < ens.n - 1
+        u = np.geomspace(1e-3, 1e3, 200) * rb.stats(ens).mean_rate
+        exact = rb.kernel_of_u(ens, u)
+        assert np.max(np.abs(dec.of_u(u) - exact) / np.abs(exact)) < 1e-12
+        # the time domain agrees with numerical inversion of the full ensemble
+        t = np.linspace(0.1, 20.0, 40) / rb.stats(ens).mean_rate
+        got = rb.talbot_invert(lambda s: rb.f_of_u(ens, s), t)
+        assert np.max(np.abs(got - rb.sprinkling(ens, t))) < 1e-9
 
     def test_markov_weight_is_mean_rate(self):
         rng = np.random.default_rng(8)
@@ -350,7 +378,7 @@ class TestTalbot:
     def test_two_state_waiting_density(self):
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         t = np.linspace(0.1, 5.0, 30)
-        got = rb.talbot_invert(rb.spectral_w(ens), t)
+        got = rb.talbot_invert(lambda u: rb.w_of_u(ens, u), t)
         exact = rb.waiting_density(ens, t)
         assert np.max(np.abs(got - exact) / exact) < 1e-8
 
@@ -358,15 +386,15 @@ class TestTalbot:
         # f has a positive floor, so pointwise relative accuracy holds far out
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         t = np.linspace(0.1, 50.0 / 1.5, 60)
-        got = rb.talbot_invert(rb.spectral_f(ens), t)
+        got = rb.talbot_invert(lambda u: rb.f_of_u(ens, u), t)
         exact = rb.sprinkling(ens, t)
         assert np.max(np.abs(got - exact) / exact) < 1e-8
 
     def test_node_doubling_self_convergence(self):
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         t = np.linspace(0.1, 30.0, 40)
-        a = rb.talbot_invert(rb.spectral_f(ens), t, nodes=32)
-        b = rb.talbot_invert(rb.spectral_f(ens), t, nodes=64)
+        a = rb.talbot_invert(lambda u: rb.f_of_u(ens, u), t, nodes=32)
+        b = rb.talbot_invert(lambda u: rb.f_of_u(ens, u), t, nodes=64)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_fractional_tail(self):
