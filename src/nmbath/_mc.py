@@ -1,11 +1,15 @@
 """Monte Carlo trajectory engine.
 
-The hot loop (advancing every trajectory through its event sequence and
-accumulating moments on the time grid) has two interchangeable backends: a
-numba-compiled per-trajectory kernel and a vectorized pure-numpy batch path.
-Select with the environment variable ``NMBATH_BACKEND`` (``numba`` | ``numpy``;
-default numba when importable).  Both backends consume identical event
-streams, so they agree up to floating-point summation order.
+Each trajectory applies the event map E at its sampled event times, with the
+coherent propagator exp(t L_H) in between.  Moments on the time grid come
+from one of two routes:
+
+* ``count_histogram`` - without coherent evolution a trajectory is just
+  E^N(t) v0, so the sums over trajectories are fixed by how many trajectories
+  have had k events by each grid time.  The counts are exact integers.
+* ``batched`` - otherwise all trajectories of a fixed-size chunk advance in
+  lockstep through their events; chunks may run on threads and are merged in
+  chunk order with compensated summation.
 
 Event times come from a counter-based splitmix64 generator keyed by
 (seed, trajectory index): every trajectory's sample path is a pure function
@@ -14,7 +18,6 @@ of that pair, independent of batching or thread count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,26 +28,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # fixed so that results do not depend on the thread count
 CHUNK = 8192
-
-_backend_env = os.environ.get("NMBATH_BACKEND", "").strip().lower()
-if _backend_env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"NMBATH_BACKEND must be 'numba' or 'numpy', got {_backend_env!r}")
-
-if _backend_env == "numpy":
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-        if _backend_env == "numba":
-            raise
-
-
-def active_backend():
-    return "numba" if HAVE_NUMBA else "numpy"
+# event-count histogram cells (grid times x counts) held at once; bounds the
+# memory when some trajectory has thousands of events
+HIST_CELLS = 1 << 16
 
 
 def _mix(state):
@@ -78,7 +64,7 @@ def _assemble(n, rounds_idx, rounds_t):
 def sample_frozen_events(seed, n, t_max, rates, weights):
     """Poisson event times at a per-trajectory rate drawn once from the ensemble.
 
-    Returns (component index per trajectory, flat event times, offsets).
+    Returns (flat event times, offsets).
     """
     state = _stream_init(seed, n)
     state, u = _mix(state)
@@ -103,8 +89,7 @@ def sample_frozen_events(seed, n, t_max, rates, weights):
         alive = keep
     else:
         raise RuntimeError("frozen-rate event sampling did not terminate")
-    times, offsets = _assemble(n, rounds_idx, rounds_t)
-    return comp, times, offsets
+    return _assemble(n, rounds_idx, rounds_t)
 
 
 def sample_renewal_events(seed, n, t_max, rates, weights):
@@ -137,8 +122,7 @@ def sample_renewal_events(seed, n, t_max, rates, weights):
         alive = keep
     else:
         raise RuntimeError("renewal event sampling did not terminate")
-    times, offsets = _assemble(n, rounds_idx, rounds_t)
-    return times, offsets
+    return _assemble(n, rounds_idx, rounds_t)
 
 
 def _advance_prefix_numpy(v0, tgrid, ev_times, ev_off, use_unitary, U_h, W, Winv, lam, E,
@@ -230,169 +214,48 @@ def _advance_chunk_numpy(v0, tgrid, ev_times, ev_off, use_unitary, U_h, W, Winv,
     return out_sum, out_sq
 
 
-if HAVE_NUMBA:
+def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
+    """Sum over trajectories of ``cols[N_i(t_k)]`` at every grid time t_k.
 
-    @njit(cache=True, nogil=True)
-    def _advance_prefix_numba(v0, tgrid, ev_times, ev_off, use_unitary, U_h, W, Winv, lam, E,
-                              out_sum, out_sq):  # pragma: no cover - compiled
-        n = ev_off.size - 1
-        dsq = v0.size
-        nt = tgrid.size
-        M = np.empty((dsq, dsq), np.complex128)
-        tmp = np.empty((dsq, dsq), np.complex128)
-        c0 = np.empty(dsq, np.complex128)
-        tail = np.empty(dsq, np.complex128)
-        v = np.empty(dsq, np.complex128)
-        WinvE = np.empty((dsq, dsq), np.complex128)
-        for a in range(dsq):
-            for b in range(dsq):
-                acc = 0.0 + 0.0j
-                for c in range(dsq):
-                    acc += Winv[a, c] * E[c, b]
-                WinvE[a, b] = acc
-        if use_unitary:
-            for a in range(dsq):
-                acc = 0.0 + 0.0j
-                for b in range(dsq):
-                    acc += Winv[a, b] * v0[b]
-                c0[a] = acc
-        else:
-            for a in range(dsq):
-                c0[a] = v0[a]
-        for i in range(n):
-            for a in range(dsq):
-                for b in range(dsq):
-                    M[a, b] = 1.0 + 0.0j if a == b else 0.0 + 0.0j
-            p = ev_off[i]
-            pe = ev_off[i + 1]
-            s_prev = 0.0
-            for k in range(nt):
-                tk = tgrid[k]
-                while p < pe and ev_times[p] <= tk:
-                    te = ev_times[p]
-                    if use_unitary:
-                        gap = te - s_prev
-                        # tmp = M @ U(gap) @ E, U(gap) = W diag(exp(lam gap)) Winv
-                        for a in range(dsq):
-                            for b in range(dsq):
-                                acc = 0.0 + 0.0j
-                                for c in range(dsq):
-                                    acc += M[a, c] * W[c, b]
-                                tmp[a, b] = acc * np.exp(lam[b] * gap)
-                        for a in range(dsq):
-                            for b in range(dsq):
-                                acc = 0.0 + 0.0j
-                                for c in range(dsq):
-                                    acc += tmp[a, c] * WinvE[c, b]
-                                M[a, b] = acc
-                    else:
-                        for a in range(dsq):
-                            for b in range(dsq):
-                                acc = 0.0 + 0.0j
-                                for c in range(dsq):
-                                    acc += M[a, c] * E[c, b]
-                                tmp[a, b] = acc
-                        for a in range(dsq):
-                            for b in range(dsq):
-                                M[a, b] = tmp[a, b]
-                    s_prev = te
-                    p += 1
-                if use_unitary:
-                    delta = tk - s_prev
-                    for a in range(dsq):
-                        tail[a] = np.exp(lam[a] * delta) * c0[a]
-                    for a in range(dsq):
-                        acc = 0.0 + 0.0j
-                        for b in range(dsq):
-                            acc += W[a, b] * tail[b]
-                        v[a] = acc
-                    for a in range(dsq):
-                        acc = 0.0 + 0.0j
-                        for b in range(dsq):
-                            acc += M[a, b] * v[b]
-                        tail[a] = acc
-                    for a in range(dsq):
-                        out_sum[k, a] += tail[a]
-                        out_sq[k, a] += tail[a].real * tail[a].real + tail[a].imag * tail[a].imag
-                else:
-                    for a in range(dsq):
-                        acc = 0.0 + 0.0j
-                        for b in range(dsq):
-                            acc += M[a, b] * c0[b]
-                        v[a] = acc
-                    for a in range(dsq):
-                        out_sum[k, a] += v[a]
-                        out_sq[k, a] += v[a].real * v[a].real + v[a].imag * v[a].imag
-        return out_sum, out_sq
-
-    @njit(cache=True, nogil=True)
-    def _advance_chunk_numba(v0, tgrid, ev_times, ev_off, use_unitary, U_h, W, Winv, lam, E,
-                             out_sum, out_sq):  # pragma: no cover - compiled
-        n = ev_off.size - 1
-        dsq = v0.size
-        nt = tgrid.size
-        v = np.empty(dsq, np.complex128)
-        w = np.empty(dsq, np.complex128)
-        for i in range(n):
-            for a in range(dsq):
-                v[a] = v0[a]
-            p = ev_off[i]
-            pe = ev_off[i + 1]
-            tc = 0.0
-            prev_t = 0.0
-            for k in range(nt):
-                tk = tgrid[k]
-                while p < pe and ev_times[p] <= tk:
-                    te = ev_times[p]
-                    if use_unitary and te > tc:
-                        dt = te - tc
-                        for a in range(dsq):
-                            acc = 0.0 + 0.0j
-                            for b in range(dsq):
-                                acc += Winv[a, b] * v[b]
-                            w[a] = acc * np.exp(lam[a] * dt)
-                        for a in range(dsq):
-                            acc = 0.0 + 0.0j
-                            for b in range(dsq):
-                                acc += W[a, b] * w[b]
-                            v[a] = acc
-                    for a in range(dsq):
-                        acc = 0.0 + 0.0j
-                        for b in range(dsq):
-                            acc += E[a, b] * v[b]
-                        w[a] = acc
-                    v, w = w, v
-                    tc = te
-                    p += 1
-                if use_unitary and tk > tc:
-                    if tc == prev_t:
-                        for a in range(dsq):
-                            acc = 0.0 + 0.0j
-                            for b in range(dsq):
-                                acc += U_h[a, b] * v[b]
-                            w[a] = acc
-                        v, w = w, v
-                    else:
-                        dt = tk - tc
-                        for a in range(dsq):
-                            acc = 0.0 + 0.0j
-                            for b in range(dsq):
-                                acc += Winv[a, b] * v[b]
-                            w[a] = acc * np.exp(lam[a] * dt)
-                        for a in range(dsq):
-                            acc = 0.0 + 0.0j
-                            for b in range(dsq):
-                                acc += W[a, b] * w[b]
-                            v[a] = acc
-                tc = tk
-                prev_t = tk
-                for a in range(dsq):
-                    out_sum[k, a] += v[a]
-                    out_sq[k, a] += v[a].real * v[a].real + v[a].imag * v[a].imag
-        return out_sum, out_sq
+    N_i(t) is the number of events of trajectory i up to and including t.  The
+    histogram of N over trajectories changes only where an event moves one
+    trajectory from count c - 1 to c, so it is the running sum over time of a
+    difference array.  Grid times are taken in blocks of at most
+    ``HIST_CELLS`` histogram cells.
+    """
+    n, nt, ncol = ev_off.size - 1, tgrid.size, cols.shape[0]
+    # "left": an event exactly at t_k counts at t_k
+    g = np.searchsorted(tgrid, ev_times, side="left")
+    after = np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
+    hist = np.zeros(ncol, dtype=np.int64)
+    hist[0] = n
+    out = np.empty((nt, cols.shape[1]))
+    rows = max(1, HIST_CELLS // ncol)
+    for k0 in range(0, nt, rows):
+        k1 = min(k0 + rows, nt)
+        sel = (g >= k0) & (g < k1)
+        cell = (g[sel] - k0) * ncol + after[sel]
+        size = (k1 - k0) * ncol
+        diff = np.bincount(cell, minlength=size) - np.bincount(cell - 1, minlength=size)
+        diff[:ncol] += hist
+        block = np.cumsum(diff.reshape(k1 - k0, ncol), axis=0)
+        hist = block[-1]
+        out[k0:k1] = block @ cols
+    return out
 
 
-def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1, backend=None,
+def _mean_stderr(total_sum, total_sq, n):
+    """Per-entry mean and standard error from the sums of z and |z|^2 over n trajectories."""
+    mean = total_sum / n
+    if n > 1:
+        var = np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) * (n / (n - 1))
+        stderr = np.sqrt(var / n)
+    else:
+        stderr = np.zeros_like(total_sq)
+    return mean, stderr
+
+
+def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1,
                      composition="forward"):
     """Advance all trajectories and return (mean, standard error) per grid point.
 
@@ -403,14 +266,11 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1, backe
     chronologically (the frozen-rate unraveling of the exact average) while
     "reversed" attaches the drawn gaps to the unitaries in reverse, which is
     the string whose renewal average solves the effective memory-kernel
-    equation.  Accumulation is chunked with a fixed chunk size and merged in
-    chunk order with compensated summation, so the result is independent of
-    the thread count.
+    equation.  Without a unitary both orderings give E^N(t) v0 and the moments
+    come from event-count histograms.  Otherwise accumulation is chunked with
+    a fixed chunk size and merged in chunk order with compensated summation,
+    so the result is independent of the thread count.
     """
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
     if composition not in ("forward", "reversed"):
         raise ValueError(f"unknown composition {composition!r}")
 
@@ -426,13 +286,19 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1, backe
     n = ev_off.size - 1
     nt = tgrid.size
 
-    use_unitary = unitary is not None
-    if use_unitary:
-        U_h, W, Winv, lam = (np.ascontiguousarray(a, dtype=np.complex128) for a in unitary)
-    else:
-        U_h = W = Winv = np.eye(dsq, dtype=np.complex128)
-        lam = np.zeros(dsq, dtype=np.complex128)
+    if unitary is None:
+        powers = np.empty((int(np.diff(ev_off).max(initial=0)) + 1, dsq), dtype=np.complex128)
+        powers[0] = v0
+        for k in range(1, len(powers)):
+            powers[k] = E @ powers[k - 1]
+        # columns: Re and Im of E^k v0 interleaved, then |E^k v0|^2
+        cols = np.hstack([powers.view(np.float64), powers.real**2 + powers.imag**2])
+        sums = _count_histogram_sums(cols, tgrid, ev_times, ev_off)
+        total_sum = np.ascontiguousarray(sums[:, :2 * dsq]).view(np.complex128)
+        return _mean_stderr(total_sum, sums[:, 2 * dsq:], n)
 
+    U_h, W, Winv, lam = (np.ascontiguousarray(a, dtype=np.complex128) for a in unitary)
+    fn = _advance_prefix_numpy if composition == "reversed" else _advance_chunk_numpy
     starts = list(range(0, n, CHUNK))
     results = [None] * len(starts)
 
@@ -443,11 +309,7 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1, backe
         q = np.zeros((nt, dsq), dtype=np.float64)
         off = ev_off[i0:i1 + 1] - ev_off[i0]
         times = ev_times[ev_off[i0]:ev_off[i1]]
-        if backend == "numba":
-            fn = _advance_prefix_numba if composition == "reversed" else _advance_chunk_numba
-        else:
-            fn = _advance_prefix_numpy if composition == "reversed" else _advance_chunk_numpy
-        fn(v0, tgrid, times, off, use_unitary, U_h, W, Winv, lam, E, s, q)
+        fn(v0, tgrid, times, off, True, U_h, W, Winv, lam, E, s, q)
         results[j] = (s, q)
 
     if n_threads > 1 and len(starts) > 1:
@@ -472,10 +334,4 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1, backe
         comp_sq = (t2 - total_sq) - y2
         total_sq = t2
 
-    mean = total_sum / n
-    if n > 1:
-        var = np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) * (n / (n - 1))
-        stderr = np.sqrt(var / n)
-    else:
-        stderr = np.zeros_like(total_sq)
-    return mean, stderr
+    return _mean_stderr(total_sum, total_sq, n)

@@ -249,6 +249,12 @@ def build_model(cfg):
     else:
         raise ConfigError(f"model.jumps must be 'dephasing' or 'matrix', got {jumps_name!r}")
 
+    if any(V.shape != hamiltonian.shape for V in jumps):
+        key = "model.h_matrix" if ham_name == "matrix" else "model.jump_matrices"
+        d = hamiltonian.shape[0]
+        sizes = ", ".join(f"{m}x{m}" for m in sorted({V.shape[0] for V in jumps}))
+        raise ConfigError(f"{key}: the Hamiltonian is {d}x{d} but the jump operators are {sizes}")
+
     picture = cfg["model.picture"]
     if picture not in ("interaction", "schroedinger"):
         raise ConfigError(f"model.picture must be interaction|schroedinger, got {picture!r}")

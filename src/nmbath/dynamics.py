@@ -136,7 +136,7 @@ class EvolutionResult:
 def _diagnose(states):
     herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
     drift = np.abs(np.einsum("tii->t", states) - 1.0)
-    mineig = np.array([np.linalg.eigvalsh(h)[0] for h in herm])
+    mineig = np.linalg.eigvalsh(herm)[:, 0]
     return drift, mineig
 
 
@@ -169,8 +169,7 @@ def evolve_ensemble(model: ModelSpec, rho0, tgrid) -> EvolutionResult:
     for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
         fac = qops.generator_factorization(generator(model, rate))
         acc += weight * fac.apply_many(tgrid, v0)
-    d = model.dim
-    states = np.array([qops.devectorize(row, d) for row in acc])
+    states = acc.reshape(-1, model.dim, model.dim, order="F")
     drift, mineig = _diagnose(states)
     return EvolutionResult(tgrid, states, "ensemble", drift, mineig)
 
@@ -266,7 +265,7 @@ def evolve_volterra(model: ModelSpec, rho0, tgrid, kernel: KernelDecomposition |
         kernel = kernel_decompose(model.ensemble)
     v0 = qops.vectorize(rho0)
     tgrid, vecs, richardson = _volterra_run(model, v0, tgrid, kernel, check_step, step_tol)
-    states = np.array([qops.devectorize(v, model.dim) for v in vecs])
+    states = vecs.reshape(-1, model.dim, model.dim, order="F")
     drift, mineig = _diagnose(states)
     meta = {} if richardson is None else {"richardson_residual": richardson}
     return EvolutionResult(tgrid, states, "volterra", drift, mineig, meta=meta)
@@ -319,14 +318,14 @@ def _unitary_factorization(model, h):
     return U_h, W, W.conj().T, lam
 
 
-def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig,
-                    n_threads=None, backend=None):
+def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig, n_threads=None):
     """Monte Carlo unraveling; returns the averaged result with standard errors.
 
     Standard errors are per matrix entry: sqrt(var/n) with the complex sample
-    variance E|z|^2 - |Ez|^2.  Parallelism is capped by ``n_threads`` or the
-    NMBATH_THREADS environment variable; the average is independent of the
-    thread count.
+    variance E|z|^2 - |Ez|^2.  ``meta["route"]`` is "count_histogram" when
+    nothing evolves between events and "batched" otherwise.  Parallelism of
+    the batched route is capped by ``n_threads`` or the NMBATH_THREADS
+    environment variable; the average is independent of the thread count.
     """
     rho0 = qops.require_density_matrix(rho0)
     tgrid, _ = _check_grid(tgrid)
@@ -338,7 +337,7 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig,
     t_max = float(tgrid[-1])
 
     if cfg.scheme == "frozen_rate":
-        _, ev_times, ev_off = _mc.sample_frozen_events(
+        ev_times, ev_off = _mc.sample_frozen_events(
             cfg.seed, cfg.trajectories, t_max, rates, weights)
         tag, composition = "mc_frozen", "forward"
     else:
@@ -358,12 +357,14 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig,
 
     mean, stderr = _mc.run_trajectories(
         qops.vectorize(rho0), tgrid, ev_times, ev_off, unitary, E,
-        n_threads=n_threads, backend=backend, composition=composition)
+        n_threads=n_threads, composition=composition)
     d = model.dim
-    states = np.array([qops.devectorize(v, d) for v in mean])
-    errs = np.array([err.reshape(d, d, order="F") for err in stderr])
+    states = mean.reshape(-1, d, d, order="F")
+    errs = stderr.reshape(-1, d, d, order="F")
     drift, mineig = _diagnose(states)
-    return EvolutionResult(tgrid, states, tag, drift, mineig,
-                           stderr=errs, n_trajectories=cfg.trajectories,
-                           meta={"backend": backend or _mc.active_backend(),
-                                 "scheme": cfg.scheme})
+    meta = {"scheme": cfg.scheme,
+            "route": "count_histogram" if unitary is None else "batched",
+            "events": int(ev_off[-1]),
+            "events_max_per_traj": int(np.diff(ev_off).max())}
+    return EvolutionResult(tgrid, states, tag, drift, mineig, stderr=errs,
+                           n_trajectories=cfg.trajectories, meta=meta)

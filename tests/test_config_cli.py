@@ -36,6 +36,8 @@ CUSTOM_RATES_CFG = "ensemble.type = custom\nensemble.rates = {}\nensemble.weight
 P_UP_CFG = "ensemble.type = two_state\nensemble.p_up = {}\n"
 MANIFOLD_ABN_CFG = ("ensemble.type = manifold\nensemble.gamma = 1.0\nensemble.a = {}\n"
                     "ensemble.b = {}\nensemble.n = {}\n")
+H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
+                    "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
 
 # hostile but parseable configs: (config, {command: required exit code}); every
 # other command may end in any documented exit code
@@ -54,6 +56,7 @@ HOSTILE = {
                             {"evolve": 2, "correlate": 2, "cpcheck": 2}),
     "manifold_n_20": (MANIFOLD_ABN_CFG.format(0.1, 0.1, 20),
                       {"kernel": 0, "evolve": 0, "cpcheck": 0}),
+    "h_matrix_3x3": (H_MATRIX_3X3_CFG, {"evolve": 2, "correlate": 2, "cpcheck": 2}),
 }
 
 
@@ -105,6 +108,11 @@ class TestConfigParsing:
         cfg = cfgmod.resolve(cfgmod.parse_config(TWO_STATE_CFG))
         ens = cfgmod.build_ensemble(cfg)
         assert np.allclose(ens.rates, [2.0, 1.0])
+
+    def test_hamiltonian_size_must_match_jumps(self):
+        cfg = cfgmod.resolve(cfgmod.parse_config(H_MATRIX_3X3_CFG))
+        with pytest.raises(ConfigError, match="model.h_matrix: the Hamiltonian is 3x3"):
+            cfgmod.build_model(cfg)
 
     def test_build_custom_and_matrix_model(self):
         text = (

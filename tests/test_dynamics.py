@@ -206,31 +206,13 @@ class TestMonteCarlo:
         c = nm.mc_trajectories(model, RHO_XY, tg, nm.MCConfig(3000, 6))
         assert not np.array_equal(a.states, c.states)
 
-    @pytest.mark.skipif(not _mc.HAVE_NUMBA, reason="numba disabled or absent")
-    def test_backends_agree(self):
-        model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
-        tg = nm.time_grid(3.0, 30)
-        cfg = nm.MCConfig(4000, 77)
-        a = nm.mc_trajectories(model, RHO_XY, tg, cfg, backend="numpy")
-        b = nm.mc_trajectories(model, RHO_XY, tg, cfg, backend="numba")
-        assert np.max(np.abs(a.states - b.states)) < 1e-12
-        assert np.max(np.abs(a.stderr - b.stderr)) < 1e-12
-
-    @pytest.mark.skipif(not _mc.HAVE_NUMBA, reason="numba disabled or absent")
-    def test_backends_agree_noncommuting(self):
-        ens = nm.rate_ensemble([1.0, 2.0], [0.5, 0.5])
-        model = sigma_x_model(ens)
-        tg = nm.time_grid(3.0, 30)
-        cfg = nm.MCConfig(4000, 78, "renewal")
-        a = nm.mc_trajectories(model, RHO_PLUS, tg, cfg, backend="numpy")
-        b = nm.mc_trajectories(model, RHO_PLUS, tg, cfg, backend="numba")
-        assert np.max(np.abs(a.states - b.states)) < 1e-12
-
     def test_thread_count_invariance(self):
-        model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
+        # threads only serve the batched route, so the model must precess
+        model = sigma_x_model(nm.rate_ensemble([1.0, 2.0], [0.5, 0.5]))
         tg = nm.time_grid(3.0, 30)
-        a = nm.mc_trajectories(model, RHO_XY, tg, nm.MCConfig(20000, 5), n_threads=1)
-        b = nm.mc_trajectories(model, RHO_XY, tg, nm.MCConfig(20000, 5), n_threads=4)
+        a = nm.mc_trajectories(model, RHO_PLUS, tg, nm.MCConfig(20000, 5), n_threads=1)
+        b = nm.mc_trajectories(model, RHO_PLUS, tg, nm.MCConfig(20000, 5), n_threads=4)
+        assert a.meta["route"] == "batched"
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.stderr, b.stderr)
 
@@ -254,6 +236,82 @@ class TestMonteCarlo:
         jumps = random_normalized_jumps(rng)
         total = sum(V.conj().T @ V for V in jumps)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
+
+
+def batched_moments(v0, tg, times, off, E, composition):
+    """Reference moments from the batched advance without coherent evolution."""
+    dsq = v0.size
+    eye = np.eye(dsq, dtype=complex)
+    s = np.zeros((tg.size, dsq), dtype=complex)
+    q = np.zeros((tg.size, dsq))
+    advance = _mc._advance_prefix_numpy if composition == "reversed" else _mc._advance_chunk_numpy
+    advance(v0, tg, times, off, False, eye, eye, eye, np.zeros(dsq, dtype=complex), E, s, q)
+    return _mc._mean_stderr(s, q, off.size - 1)
+
+
+class TestCountHistogram:
+    """Without coherent evolution the moments come from event-count histograms."""
+
+    V0 = qops.vectorize(RHO_XY)
+
+    def random_event_map(self):
+        return qops.jump_superoperator(random_normalized_jumps(np.random.default_rng(8)))
+
+    def assert_matches_batched(self, tg, times, off, E, composition):
+        times, off = np.asarray(times, dtype=float), np.asarray(off, dtype=np.int64)
+        mean, stderr = _mc.run_trajectories(self.V0, tg, times, off, None, E,
+                                            composition=composition)
+        ref_mean, ref_stderr = batched_moments(self.V0, tg, times, off, E, composition)
+        assert np.max(np.abs(mean - ref_mean)) < 1e-12
+        assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
+
+    @pytest.mark.parametrize("rates,weights", [([2.0, 1.0], [0.5, 0.5]),
+                                               ([0.0, 1.5], [0.4, 0.6])])
+    def test_sampled_streams_both_schemes(self, rates, weights):
+        rates, weights = np.array(rates), np.array(weights)
+        tg = nm.time_grid(3.0, 30)
+        E_deph = dynamics.event_map(nm.dephasing_model(nm.single_rate_ensemble(1.0)))
+        frozen = _mc.sample_frozen_events(3, 5000, tg[-1], rates, weights)
+        renewal = _mc.sample_renewal_events(3, 5000, tg[-1], rates, weights)
+        for E in (E_deph, self.random_event_map()):
+            self.assert_matches_batched(tg, *frozen, E, "forward")
+            self.assert_matches_batched(tg, *renewal, E, "reversed")
+
+    def test_edge_streams(self):
+        tg = np.linspace(0.0, 1.0, 11)
+        E = self.random_event_map()
+        # no events; events at t = 0 and exactly on grid times; one past the grid
+        times = [0.0, tg[3], 0.55, tg[7], tg[7], tg[10], 0.05, 1.5]
+        off = [0, 0, 6, 6, 7, 8]
+        for composition in ("forward", "reversed"):
+            self.assert_matches_batched(tg, times, off, E, composition)
+            self.assert_matches_batched(tg, times[:6], off[1:3], E, composition)
+            self.assert_matches_batched(tg, [], [0, 0], E, composition)
+        _, stderr = _mc.run_trajectories(self.V0, tg, np.array(times[:6]),
+                                         np.array([0, 6]), None, E)
+        assert not np.any(stderr)
+
+    def test_blocks_of_grid_times(self, monkeypatch):
+        rates, weights = np.array([2.0, 1.0]), np.array([0.5, 0.5])
+        tg = nm.time_grid(3.0, 30)
+        times, off = _mc.sample_renewal_events(4, 3000, tg[-1], rates, weights)
+        E = self.random_event_map()
+        whole = _mc.run_trajectories(self.V0, tg, times, off, None, E)
+        monkeypatch.setattr(_mc, "HIST_CELLS", 1)
+        rowwise = _mc.run_trajectories(self.V0, tg, times, off, None, E)
+        for a, b in zip(whole, rowwise):
+            assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_route_in_meta(self):
+        ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
+        tg = nm.time_grid(3.0, 30)
+        for model, rho, route in ((nm.dephasing_model(ens), RHO_XY, "count_histogram"),
+                                  (sigma_x_model(ens), RHO_PLUS, "batched")):
+            for scheme in ("frozen_rate", "renewal"):
+                res = nm.mc_trajectories(model, rho, tg, nm.MCConfig(2000, 9, scheme))
+                assert res.meta["route"] == route
+                assert type(res.meta["events"]) is int and res.meta["events"] > 0
+                assert 0 < res.meta["events_max_per_traj"] <= res.meta["events"]
 
 
 class TestInvariants:
