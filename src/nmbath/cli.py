@@ -44,10 +44,6 @@ from .ratebath import (
 _BASIS_LABELS = ("sx", "sy", "sz", "id")
 
 
-def _fmt(x):
-    return f"{x:.16e}"
-
-
 def write_csv(path, header, columns):
     """Columns are 1-d arrays of equal length; complex ones split into re/im."""
     names, cols = [], []
@@ -59,10 +55,10 @@ def write_csv(path, header, columns):
         else:
             names.append(name)
             cols.append(col)
+    row = ",".join(["%.16e"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*cols))
 
 
 def _json_safe(obj):
@@ -392,7 +388,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # overflow surfaces as FloatingPointError (exit 3), not as a stream of warnings
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

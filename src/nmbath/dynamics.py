@@ -4,10 +4,13 @@ Three mutually validating routes:
 
 * ``evolve_ensemble`` - the exact rate average, a weighted sum of fixed-rate
   Lindblad propagations.  Reference for every cross-check.
-* ``evolve_volterra`` - integrates the effective memory-kernel equation
-  d rho/dt = L_H rho + int K(t-s) exp((t-s) L_H) L rho(s) ds with the kernel
-  delta-weight folded into an integrating factor and one auxiliary memory
-  variable per exponential kernel mode (exact one-step recursion).
+* ``evolve_volterra`` - solves the effective memory-kernel equation
+  d rho/dt = L_H rho + int K(t-s) exp((t-s) L_H) L rho(s) ds.  The kernel
+  K(t) = kappa delta(t) + sum_j c_j exp(p_j t) is a sum of exponentials, so
+  one auxiliary memory variable per pole makes the equation a Markovian
+  embedding (the pseudomode construction): a linear ODE with a constant
+  generator on (rho, m_1..m_n).  Each grid step applies its exact
+  propagator expm(h G), so the only error is round-off.
 * ``mc_trajectories`` - stochastic unravelings applying the event map E at
   random times: ``frozen_rate`` draws one rate per trajectory (converges to
   the exact average), ``renewal`` draws i.i.d. waiting times from the mixture
@@ -20,7 +23,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _mc, qops
 from .qops import SIGMA_Z, IDENTITY_2
@@ -30,6 +32,10 @@ PICTURES = ("interaction", "schroedinger")
 
 # largest entry of [L_H, L] for which the interaction picture is accepted
 COMMUTATOR_TOL = 1e-10
+
+# most Taylor terms of the Volterra step map; with |h G|_1 <= 1 the
+# truncation error is below sum_{k > 18} 1/k! < 1e-17
+TAYLOR_DEGREE = 18
 
 
 class SolverError(RuntimeError):
@@ -185,100 +191,95 @@ def ensemble_propagator_series(model: ModelSpec, tgrid):
     return out
 
 
-def _volterra_step_map(model, kernel, h):
-    """Constant one-step matrix Phi of the predictor-corrector scheme.
+def _embedding_step_map(model, kernel, h):
+    """Phi = expm(h G) for the generator G of the Markovian embedding y = (x, m_1..m_n).
 
-    The scheme acts on y = (x, m_1..m_n), the state and one memory variable
-    per kernel mode: an exponential-trapezoidal step with a rectangle-rule
-    predictor and two corrector passes.  Every pass is linear with fixed
-    coefficients, so a step is y <- Phi y.  With h2 = h/2, U = exp(h (L_H +
-    <gamma> L)), mode propagators P_j = exp(p_j h) exp(h L_H), A = h2^2
-    (sum c_j) L and Q = sum c_j P_j:
+    The memory variables m_j(t) = int_0^t c_j exp((t-s)(p_j + L_H)) L x(s) ds
+    turn the memory-kernel equation into the linear ODE y' = G y:
 
-        x'   = [(I + A)(U + h2^2 Q L) + A^2 U] x
-               + sum_k [h2 (I + A)(U + P_k) + h A^2 U] m_k
-        m_j' = P_j m_j + h2 c_j (P_j L x + L x')
+        x'   = (L_H + kappa L) x + sum_j m_j
+        m_j' = c_j L x + (p_j + L_H) m_j
+
+    Phi is the Taylor series of expm(h G / 2^s), cut where its terms fall
+    below round-off and squared s times, with s chosen so that
+    |h G / 2^s|_1 <= 1.  Each term applies G block by block, which costs
+    O(n d^4) per column where a dense product costs O(n^2 d^4).
+    scipy.linalg.expm is avoided: its LAPACK solve wakes OpenBLAS worker
+    threads, even for 8x8 matrices, and they keep a second core spinning
+    after the call returns.
     """
     L = dissipator(model)
     L_H = coherent_liouvillian(model)
-    D, h2, c = L.shape[0], 0.5 * h, kernel.amplitudes
-    U = scipy.linalg.expm(h * (L_H + kernel.markov_weight * L))
-    P = np.exp(kernel.poles * h)[:, None, None] * scipy.linalg.expm(h * L_H)
-    A = h2 * h2 * c.sum() * L
-    IA = np.eye(D) + A
-    AAU = A @ A @ U
-    Q = np.tensordot(c, P, axes=1)
-    x_row = np.hstack([IA @ (U + h2 * h2 * Q @ L) + AAU,
-                       *(h2 * IA @ (U + Pk) + h * AAU for Pk in P)])
-    phi = np.vstack([x_row, np.kron((h2 * c)[:, None], L @ x_row)])
-    for j, Pj in enumerate(P):
-        rows = slice(D * (j + 1), D * (j + 2))
-        phi[rows, :D] += h2 * c[j] * Pj @ L
-        phi[rows, rows] += Pj
+    A = L_H + kernel.markov_weight * L
+    c = np.reshape(kernel.amplitudes, (-1, 1, 1))
+    p = np.reshape(kernel.poles, (-1, 1, 1))
+    # largest column sum over the x block and the m_j blocks of G
+    norm = h * max(np.linalg.norm(A, 1) + np.abs(c).sum() * np.linalg.norm(L, 1),
+                   1.0 + np.abs(p).max(initial=0.0) + np.linalg.norm(L_H, 1))
+    squarings = max(0, int(np.frexp(norm)[1]))
+    scale = 2.0 ** -squarings
+    D = L.shape[0]
+    size = D * (kernel.n_modes + 1)
+    term = np.eye(size, dtype=complex).reshape(-1, D, size)
+    phi = term.copy()
+    bound = 1.0  # on |term|_1
+    for k in range(1, TAYLOR_DEGREE + 1):
+        x, m = term[0], term[1:]
+        term = np.concatenate([(A @ x + m.sum(axis=0))[None], c * (L @ x) + p * m + L_H @ m])
+        term *= h * scale / k
+        phi += term
+        bound *= norm * scale / k
+        if bound < np.finfo(float).eps:
+            break
+    phi = phi.reshape(size, size)
+    for _ in range(squarings):
+        phi = phi @ phi
     return phi
 
 
-def _volterra_run(model, x0, tgrid, kernel, check_step, step_tol):
-    """Iterate the step map from (x0, 0); ``x0`` is a state (d^2,) or a map (d^2, d^2)."""
+def _volterra_run(model, x0, tgrid, kernel):
+    """Iterate y <- Phi y from (x0, 0); ``x0`` is a state (d^2,) or a map (d^2, d^2)."""
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("Volterra integration must start at t = 0")
-
-    def sweep(n_steps, step):
-        phi = _volterra_step_map(model, kernel, step)
-        D = x0.shape[0]
-        y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
-        y[:D] = x0
-        out = np.empty((n_steps + 1,) + x0.shape, dtype=complex)
-        out[0] = x0
-        for k in range(1, n_steps + 1):
-            y = phi @ y
-            out[k] = y[:D]
-        return out
-
-    n_steps = tgrid.size - 1
-    out = sweep(n_steps, h)
-    richardson = None
-    if check_step:
-        fine = sweep(2 * n_steps, 0.5 * h)[::2]
-        richardson = float(np.max(np.abs(out - fine)))
-        if richardson > step_tol:
-            raise SolverError(
-                f"Volterra step size too coarse: Richardson residual {richardson:.3e} "
-                f"exceeds {step_tol:g}; refine the grid"
-            )
-        out = fine
-    return tgrid, out, richardson
+    phi = _embedding_step_map(model, kernel, h)
+    D = x0.shape[0]
+    y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
+    y[:D] = x0
+    out = np.empty((tgrid.size,) + x0.shape, dtype=complex)
+    out[0] = x0
+    for k in range(1, tgrid.size):
+        y = phi @ y
+        out[k] = y[:D]
+    if not np.all(np.isfinite(out)):
+        raise SolverError("Volterra solution is not finite; the kernel has a growing mode")
+    return tgrid, out
 
 
-def evolve_volterra(model: ModelSpec, rho0, tgrid, kernel: KernelDecomposition | None = None,
-                    check_step=True, step_tol=1e-4) -> EvolutionResult:
+def evolve_volterra(model: ModelSpec, rho0, tgrid,
+                    kernel: KernelDecomposition | None = None) -> EvolutionResult:
     """Integrate the effective memory-kernel evolution.
 
     The kernel defaults to the exact partial-fraction decomposition of the
-    model ensemble.  With ``check_step`` the integration is repeated at half
-    step and the halved-step solution is returned; the Richardson residual is
-    stored in ``meta`` and must stay below ``step_tol``.
+    model ensemble.
     """
     rho0 = qops.require_density_matrix(rho0)
     if kernel is None:
         kernel = kernel_decompose(model.ensemble)
     v0 = qops.vectorize(rho0)
-    tgrid, vecs, richardson = _volterra_run(model, v0, tgrid, kernel, check_step, step_tol)
+    tgrid, vecs = _volterra_run(model, v0, tgrid, kernel)
     states = vecs.reshape(-1, model.dim, model.dim, order="F")
     drift, mineig = _diagnose(states)
-    meta = {} if richardson is None else {"richardson_residual": richardson}
-    return EvolutionResult(tgrid, states, "volterra", drift, mineig, meta=meta)
+    return EvolutionResult(tgrid, states, "volterra", drift, mineig)
 
 
-def volterra_propagator_series(model: ModelSpec, tgrid, kernel=None,
-                               check_step=False, step_tol=1e-4):
+def volterra_propagator_series(model: ModelSpec, tgrid, kernel=None):
     """Propagate the identity map through the Volterra scheme (for CP checks)."""
     if kernel is None:
         kernel = kernel_decompose(model.ensemble)
     dsq = model.dim ** 2
     x0 = np.eye(dsq, dtype=complex)
-    _, maps, _ = _volterra_run(model, x0, tgrid, kernel, check_step, step_tol)
+    _, maps = _volterra_run(model, x0, tgrid, kernel)
     return maps
 
 

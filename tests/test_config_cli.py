@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ CUSTOM_RATES_CFG = "ensemble.type = custom\nensemble.rates = {}\nensemble.weight
 P_UP_CFG = "ensemble.type = two_state\nensemble.p_up = {}\n"
 MANIFOLD_ABN_CFG = ("ensemble.type = manifold\nensemble.gamma = 1.0\nensemble.a = {}\n"
                     "ensemble.b = {}\nensemble.n = {}\n")
+OVERFLOW_RATES_CFG = CUSTOM_RATES_CFG.format("1e200,1")
 H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
                     "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
 
@@ -57,6 +59,10 @@ HOSTILE = {
     "manifold_n_20": (MANIFOLD_ABN_CFG.format(0.1, 0.1, 20),
                       {"kernel": 0, "evolve": 0, "cpcheck": 0}),
     "h_matrix_3x3": (H_MATRIX_3X3_CFG, {"evolve": 2, "correlate": 2, "cpcheck": 2}),
+    # rates whose moments overflow double precision
+    "rates_1e200": (OVERFLOW_RATES_CFG, {"kernel": 3, "evolve": 3, "cpcheck": 3}),
+    "manifold_b_minus_1": (MANIFOLD_ABN_CFG.format(0.01, -1, 400),
+                           {"kernel": 3, "evolve": 3, "cpcheck": 3}),
 }
 
 
@@ -328,10 +334,7 @@ class TestCliContract:
         assert run_cli("kernel", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
     def test_exit_code_3_on_solver_error(self, tmp_path, capsys):
-        # coarse grid trips the Volterra step-size guard
-        text = TWO_STATE_CFG.replace("grid.steps = 200", "grid.steps = 8") \
-                            .replace("ensemble.gamma_up = 2.0", "ensemble.gamma_up = 6.0")
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, OVERFLOW_RATES_CFG)
         assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 3
         assert "runtime error" in capsys.readouterr().err
 
@@ -350,10 +353,14 @@ class TestCliContract:
         text, required = HOSTILE[name]
         cfg = write_cfg(tmp_path, text)
         for command in COMMANDS:
-            code = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
+            # outside pytest every warning would be one more stderr line
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
             err = capfd.readouterr().err
             assert code == required.get(command, code) and code in (0, 2, 3), (command, err)
-            assert "Traceback" not in err and err.count("\n") <= 1, (command, err)
+            assert "Traceback" not in err and err.count("\n") + len(caught) <= 1, \
+                (command, err, [str(w.message) for w in caught])
 
     @pytest.mark.parametrize("command,cfg_text", [
         ("kernel", TWO_STATE_CFG),
@@ -373,3 +380,14 @@ class TestCliContract:
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, f"{command}/{name} differs between reruns"
+
+    def test_csv_values_format_like_fstrings(self, tmp_path):
+        edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e300, -1.25])
+        z = np.empty(edge.size, dtype=complex)
+        z.real, z.imag = edge, edge[::-1]
+        path = tmp_path / "edge.csv"
+        cli.write_csv(str(path), ["x", "z"], [edge, z])
+        cols = [edge, edge, edge[::-1]]
+        expected = "x,z_re,z_im\n" + "".join(
+            ",".join(f"{v:.16e}" for v in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 import nmbath as nm
 from nmbath import _mc, dynamics, qops
@@ -88,8 +90,7 @@ class TestEvolveVolterra:
         tg = nm.time_grid(10.0, 2000)
         exact = nm.evolve_ensemble(model, RHO_XY, tg)
         vol = nm.evolve_volterra(model, RHO_XY, tg)
-        assert np.max(np.abs(vol.states - exact.states)) < 1e-6
-        assert vol.meta["richardson_residual"] < 1e-4
+        assert np.max(np.abs(vol.states - exact.states)) < 1e-12
 
     def test_schroedinger_dephasing(self):
         # L_H commutes with the dephasing dissipator, so still exact
@@ -112,18 +113,72 @@ class TestEvolveVolterra:
         assert np.isfinite(gap)
         assert np.max(vol.trace_drift) < 1e-8
 
-    def test_step_size_error(self):
+    def test_coarse_grid_exact(self):
+        # each step applies the exact propagator of the embedding, so a
+        # 12-step grid carries no step error
         ens = nm.two_state_ensemble(0.5, 4.0, 0.5)
         model = nm.dephasing_model(ens)
-        with pytest.raises(nm.SolverError, match="step size too coarse"):
-            nm.evolve_volterra(model, RHO_PLUS, nm.time_grid(10.0, 12), step_tol=1e-8)
+        tg = nm.time_grid(10.0, 12)
+        exact = nm.evolve_ensemble(model, RHO_PLUS, tg)
+        vol = nm.evolve_volterra(model, RHO_PLUS, tg)
+        assert np.max(np.abs(vol.states - exact.states)) < 1e-12
+
+    def test_laplace_transform_noncommuting(self):
+        # independent of the time stepping: the Laplace transform of the
+        # memory-kernel equation is a linear solve at each u
+        ens = nm.rate_ensemble([1.0, 2.0], [0.5, 0.5])
+        model = sigma_x_model(ens)
+        tg = nm.time_grid(40.0, 8000)
+        vol = nm.evolve_volterra(model, RHO_PLUS, tg)
+        x = vol.states.reshape(tg.size, -1, order="F")
+        L = dynamics.dissipator(model)
+        L_H = dynamics.coherent_liouvillian(model)
+        dec = nm.kernel_decompose(ens)
+        eye = np.eye(L.shape[0])
+        for u in (1.0, 2.0):
+            numeric = scipy.integrate.simpson(np.exp(-u * tg)[:, None] * x, x=tg, axis=0)
+            K = dec.markov_weight * eye
+            for c, p in zip(dec.amplitudes, dec.poles):
+                K = K + c * np.linalg.inv((u - p) * eye - L_H)
+            laplace = np.linalg.solve(u * eye - L_H - K @ L, qops.vectorize(RHO_PLUS))
+            assert np.max(np.abs(numeric - laplace)) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_growing_kernel_mode_refused(self):
+        model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
+        kernel = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
+        with pytest.raises(nm.SolverError, match="not finite"):
+            nm.evolve_volterra(model, RHO_PLUS, nm.time_grid(10.0, 100), kernel=kernel)
+
+    @pytest.mark.parametrize("case,h", [("manifold", 0.01), ("sigma_x", 0.005),
+                                        ("sigma_x", 7.0), ("single_rate", 0.3),
+                                        ("manifold", 300.0)])
+    def test_step_map_is_expm_of_dense_generator(self, case, h):
+        ensembles = {"manifold": nm.manifold_ensemble(1.0, 0.2, 0.3, 40),
+                     "sigma_x": nm.rate_ensemble([1.0, 2.0], [0.5, 0.5]),
+                     "single_rate": nm.single_rate_ensemble(1.3)}
+        ens = ensembles[case]
+        model = (sigma_x_model(ens) if case == "sigma_x"
+                 else nm.dephasing_model(ens, omega=1.3, picture="schroedinger"))
+        kernel = nm.kernel_decompose(ens)
+        L = dynamics.dissipator(model)
+        L_H = dynamics.coherent_liouvillian(model)
+        n, eye = kernel.n_modes, np.eye(L.shape[0])
+        gen = np.block([
+            [L_H + kernel.markov_weight * L, np.tile(eye, n)],
+            [np.kron(kernel.amplitudes[:, None], L),
+             np.kron(np.diag(kernel.poles), eye) + np.kron(np.eye(n), L_H)]])
+        ref = scipy.linalg.expm(h * gen)
+        phi = dynamics._embedding_step_map(model, kernel, h)
+        assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_propagator_series_columns(self):
         ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
         model = nm.dephasing_model(ens)
         tg = nm.time_grid(4.0, 400)
         maps = dynamics.volterra_propagator_series(model, tg)
-        vol = nm.evolve_volterra(model, RHO_XY, tg, check_step=False)
+        vol = nm.evolve_volterra(model, RHO_XY, tg)
         applied = np.array([qops.apply_superop(m, RHO_XY) for m in maps])
         assert np.max(np.abs(applied - vol.states)) < 1e-12
 
@@ -183,16 +238,14 @@ class TestMonteCarlo:
         # (Volterra) evolution, and the two targets are distinguishable
         ens = nm.rate_ensemble([1.0, 2.0], [0.5, 0.5])
         model = sigma_x_model(ens)
-        refine = 20
         tg = nm.time_grid(6.0, 60)
         exact = nm.evolve_ensemble(model, RHO_PLUS, tg)
-        vol_fine = nm.evolve_volterra(model, RHO_PLUS, nm.time_grid(6.0, 60 * refine))
-        vol_states = vol_fine.states[::refine]
+        vol = nm.evolve_volterra(model, RHO_PLUS, tg)
         n = 200000
         frozen = nm.mc_trajectories(model, RHO_PLUS, tg, nm.MCConfig(n, 31, "frozen_rate"))
         renewal = nm.mc_trajectories(model, RHO_PLUS, tg, nm.MCConfig(n, 31, "renewal"))
         assert max_z(frozen, exact.states) < 4.0
-        assert max_z(renewal, vol_states) < 4.0
+        assert max_z(renewal, vol.states) < 4.0
         split = np.abs(frozen.states - renewal.states) / (
             frozen.stderr + renewal.stderr + 1e-12)
         assert np.max(split) > 5.0
