@@ -16,7 +16,6 @@ from .qops import (
     hamiltonian_liouvillian,
     lindblad_dissipator,
     jump_superoperator,
-    propagate,
     resolvent,
     choi_matrix,
     choi_min_eigenvalue,
@@ -53,15 +52,11 @@ from .dynamics import (
 )
 from .qrt import (
     pauli_basis,
-    expectation_series,
     observable_propagator,
     two_time_correlation,
-    qrt_prediction,
     qrt_residual,
     CorrelationSurface,
-    dephasing_analytic,
     dephasing_h,
-    stationary_state,
 )
 
 __version__ = "0.1.0"

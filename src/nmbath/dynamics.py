@@ -107,8 +107,14 @@ def event_map(model: ModelSpec):
 
 
 def generator(model: ModelSpec, rate):
-    """Fixed-rate Lindblad generator L_H + gamma * L."""
-    return coherent_liouvillian(model) + rate * dissipator(model)
+    """Fixed-rate Lindblad generator L_H + gamma * L; a stack (R, D, D) for an array of rates."""
+    return coherent_liouvillian(model) + np.multiply.outer(rate, dissipator(model))
+
+
+def rate_stack(model: ModelSpec):
+    """One factorization of the generator stack {G_R} with the ensemble weights."""
+    ens = model.ensemble
+    return qops.generator_factorization(generator(model, ens.rates), ens.weights)
 
 
 @dataclass(frozen=True)
@@ -167,28 +173,24 @@ def time_grid(t_max, steps):
 
 
 def evolve_ensemble(model: ModelSpec, rho0, tgrid) -> EvolutionResult:
-    """Exact solution: weighted average of fixed-rate Lindblad evolutions."""
+    """Exact solution: weighted average of fixed-rate Lindblad evolutions.
+
+    ``meta["expm_fallbacks"]`` counts the rates evaluated without an eigenbasis.
+    """
     rho0 = qops.require_density_matrix(rho0)
     tgrid, _ = _check_grid(tgrid)
-    v0 = qops.vectorize(rho0)
-    acc = np.zeros((tgrid.size, v0.size), dtype=complex)
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        fac = qops.generator_factorization(generator(model, rate))
-        acc += weight * fac.apply_many(tgrid, v0)
-    states = acc.reshape(-1, model.dim, model.dim, order="F")
+    stack = rate_stack(model)
+    vecs = stack.average(tgrid, qops.vectorize(rho0)[None])
+    states = vecs.reshape(-1, model.dim, model.dim, order="F")
     drift, mineig = _diagnose(states)
-    return EvolutionResult(tgrid, states, "ensemble", drift, mineig)
+    return EvolutionResult(tgrid, states, "ensemble", drift, mineig,
+                           meta={"expm_fallbacks": stack.expm_fallbacks})
 
 
 def ensemble_propagator_series(model: ModelSpec, tgrid):
     """Averaged propagator superoperator at every grid time, shape (nt, d^2, d^2)."""
     tgrid, _ = _check_grid(tgrid)
-    dsq = model.dim ** 2
-    out = np.zeros((tgrid.size, dsq, dsq), dtype=complex)
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        fac = qops.generator_factorization(generator(model, rate))
-        out += weight * fac.expm_many(tgrid)
-    return out
+    return rate_stack(model).average(tgrid, np.eye(model.dim ** 2)[None])
 
 
 def _embedding_step_map(model, kernel, h):

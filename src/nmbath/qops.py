@@ -22,6 +22,9 @@ PSD_TOL = -1e-10
 # eigendecomposition to scaling-and-squaring
 EIG_COND_LIMIT = 1e8
 
+# most phase entries exp(lambda_a t) held at once by a rate-stack average
+PHASE_CELLS = 1 << 16
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -125,67 +128,76 @@ def jump_superoperator(jumps, tol=1e-10):
     return out
 
 
-def apply_superop(superop, op):
-    """Apply a superoperator matrix to an operator."""
-    d = int(round(np.sqrt(superop.shape[0])))
-    return devectorize(superop @ vectorize(op), d)
+class _RateStack:
+    """Eigendecompositions of a stack of generators G_R with weights P_R.
 
-
-class _GeneratorFactorization:
-    """Eigendecomposition of a generator, reused across many times.
-
-    Falls back to scaling-and-squaring (scipy expm) per call when the
-    eigenvector matrix is too ill-conditioned.
+    One stacked eig, cond and inv serve every time and every operand:
+    sum_R P_R exp(t G_R) = sum_a exp(lambda_a t) r_a l_a^T over the modes
+    a = (R, j).  A rate whose eigenvector matrix has cond >= EIG_COND_LIMIT
+    (an exceptional point) stays out of the mode sum and is evaluated by
+    scaling-and-squaring instead.  Operands ``X`` carry a leading rate axis,
+    shape (R, D, ...), or (1, D, ...) when every rate shares one.
     """
 
-    def __init__(self, gen):
-        self.gen = np.asarray(gen, dtype=complex)
-        w, V = np.linalg.eig(self.gen)
+    def __init__(self, gens, weights):
+        self.gens = np.asarray(gens, dtype=complex)
+        self.weights = np.asarray(weights, dtype=float)
+        w, V = np.linalg.eig(self.gens)
         cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond < EIG_COND_LIMIT:
-            self.eigvals = w
-            self.right = V
-            self.left = np.linalg.inv(V)
-        else:
-            self.eigvals = None
-            self.right = None
-            self.left = None
+        self.eigenbasis = np.isfinite(cond) & (cond < EIG_COND_LIMIT)
+        self.fallback = np.flatnonzero(~self.eigenbasis)
+        self.expm_fallbacks = int(self.fallback.size)
+        self.eigvals = w[self.eigenbasis]
+        self.right = V[self.eigenbasis]
+        self.left = np.linalg.inv(self.right)
 
-    def expm(self, t):
-        if self.eigvals is None:
-            return scipy.linalg.expm(t * self.gen)
-        return (self.right * np.exp(t * self.eigvals)) @ self.left
+    def _operand(self, X):
+        """X as (R, D, M), its trailing axes flattened, and the shape of one X_R."""
+        X = np.asarray(X, dtype=complex)
+        flat = X.reshape(X.shape[:2] + (-1,))
+        return np.broadcast_to(flat, (self.weights.size,) + flat.shape[1:]), X.shape[1:]
 
-    def expm_many(self, times):
+    def _expm(self, r, times):
+        return scipy.linalg.expm(times[:, None, None] * self.gens[r])
+
+    def per_rate(self, times, X):
+        """exp(t G_R) X_R for every rate and time, shape (R, n_t) + X.shape[1:]."""
         times = np.asarray(times, dtype=float)
-        if self.eigvals is None:
-            return np.array([scipy.linalg.expm(t * self.gen) for t in times])
-        phases = np.exp(np.multiply.outer(times, self.eigvals))
-        return np.einsum("ij,tj,jk->tik", self.right, phases, self.left)
+        X, shape = self._operand(X)
+        out = np.empty((X.shape[0], times.size) + X.shape[1:], dtype=complex)
+        phases = np.exp(times[:, None] * self.eigvals[:, None, :])
+        coeff = self.left @ X[self.eigenbasis]
+        out[self.eigenbasis] = self.right[:, None] @ (phases[..., None] * coeff[:, None])
+        for r in self.fallback:
+            out[r] = self._expm(r, times) @ X[r]
+        return out.reshape(out.shape[:2] + shape)
 
-    def apply_many(self, times, vec0):
-        """exp(t * gen) @ vec0 for every t, shape (n_t, d**2)."""
+    def average(self, times, X):
+        """sum_R P_R exp(t G_R) X_R for every time, shape (n_t,) + X.shape[1:].
+
+        The mode sum is one phases @ residues product, taken in time blocks
+        of at most PHASE_CELLS phase entries.
+        """
         times = np.asarray(times, dtype=float)
-        if self.eigvals is None:
-            return np.array([scipy.linalg.expm(t * self.gen) @ vec0 for t in times])
-        coeff = self.left @ vec0
-        phases = np.exp(np.multiply.outer(times, self.eigvals))
-        return (phases * coeff) @ self.right.T
+        X, shape = self._operand(X)
+        coeff = self.left @ X[self.eigenbasis]
+        # residue of mode a = (R, j): P_R r_a (l_a . X_R), one row per mode
+        residues = np.einsum("r,rij,rjm->rjim", self.weights[self.eigenbasis], self.right, coeff)
+        residues = residues.reshape(-1, X.shape[1] * X.shape[2])
+        lam = self.eigvals.reshape(-1)
+        out = np.empty((times.size, residues.shape[1]), dtype=complex)
+        rows = max(1, PHASE_CELLS // max(1, lam.size))
+        for k in range(0, times.size, rows):
+            out[k:k + rows] = np.exp(np.multiply.outer(times[k:k + rows], lam)) @ residues
+        out = out.reshape((times.size,) + X.shape[1:])
+        for r in self.fallback:
+            out += self.weights[r] * (self._expm(r, times) @ X[r])
+        return out.reshape((times.size,) + shape)
 
 
-def generator_factorization(gen):
-    return _GeneratorFactorization(gen)
-
-
-def propagate(gen, t):
-    """exp(t * gen) for a superoperator generator, t >= 0."""
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    fac = _GeneratorFactorization(gen)
-    out = fac.expm(t)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("matrix exponential overflowed")
-    return out
+def generator_factorization(gens, weights):
+    """The :class:`_RateStack` of generators ``gens`` (R, D, D) with weights P_R."""
+    return _RateStack(gens, weights)
 
 
 def resolvent(gen, u):
@@ -226,22 +238,3 @@ def choi_min_eigenvalue(superop):
     choi = 0.5 * (choi + np.conj(np.swapaxes(choi, -1, -2)))
     out = np.linalg.eigvalsh(choi)[..., 0]
     return out if out.ndim else float(out)
-
-
-def trace_defect(superop):
-    """Max deviation of the trace functional from invariance under the map."""
-    d = int(round(np.sqrt(superop.shape[0])))
-    tr_vec = vectorize(np.eye(d)).conj()
-    return float(np.max(np.abs(tr_vec @ superop - tr_vec)))
-
-
-def hermiticity_defect(superop):
-    """Max entry of K conj(S) - S K, zero iff the map preserves Hermiticity.
-
-    K is the permutation with K vec(X) = vec(X.T).
-    """
-    superop = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(superop.shape[0])))
-    perm = np.arange(d * d).reshape(d, d, order="F").reshape(-1, order="C")
-    K = np.eye(d * d)[perm]
-    return float(np.max(np.abs(K @ superop.conj() - superop @ K)))

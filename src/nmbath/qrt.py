@@ -1,4 +1,4 @@
-"""Expectation values, two-time correlators, and regression-theorem residuals.
+"""Observable propagators, two-time correlators, and regression-theorem residuals.
 
 The regression "prediction" propagates the measured equal-time correlator
 with the deterministic one-time propagator of expectation values; the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qops
-from .dynamics import ModelSpec, generator
+from .dynamics import ModelSpec, rate_stack
 from .ratebath import RateEnsemble, survival
 from .qops import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
 
@@ -46,20 +46,9 @@ def _basis_matrices(basis):
     return T, cols, gram_inv
 
 
-def expectation_series(model: ModelSpec, rho0, basis, tgrid):
-    """<A_mu(t)> = Tr(A_mu rho(t)) from the exact ensemble evolution.
-
-    Returns a complex array of shape (len(basis), len(tgrid)).
-    """
-    rho0 = qops.require_density_matrix(rho0)
-    v0 = qops.vectorize(rho0)
-    T = np.array([qops.vectorize(np.asarray(A, dtype=complex).T) for A in basis])
-    acc = np.zeros((len(basis), len(tgrid)), dtype=complex)
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        fac = qops.generator_factorization(generator(model, rate))
-        vecs = fac.apply_many(tgrid, v0)
-        acc += weight * (T @ vecs.T)
-    return acc
+def _observable_propagator(stack, basis, taugrid):
+    T, cols, gram_inv = _basis_matrices(basis)
+    return T @ stack.average(taugrid, (cols @ gram_inv)[None])
 
 
 def observable_propagator(model: ModelSpec, basis, taugrid):
@@ -68,46 +57,35 @@ def observable_propagator(model: ModelSpec, basis, taugrid):
     Shape (len(taugrid), k, k).  This is the deterministic propagator whose
     generator is the (implicit) memory matrix of the one-time evolution.
     """
-    T, cols, gram_inv = _basis_matrices(basis)
-    taugrid = np.asarray(taugrid, dtype=float)
-    dsq = cols.shape[0]
-    phi = np.zeros((taugrid.size, dsq, dsq), dtype=complex)
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        fac = qops.generator_factorization(generator(model, rate))
-        phi += weight * fac.expm_many(taugrid)
-    return np.einsum("mi,tij,jn->tmn", T, phi, cols @ gram_inv)
+    return _observable_propagator(rate_stack(model), basis, np.asarray(taugrid, dtype=float))
 
 
-def two_time_correlation(model: ModelSpec, rho0, S, basis, t, tau):
-    """Exact <S(t) A_mu(t+tau)>: rate-resolved propagation of rho_R(t) S.
+def _correlation(stack, rho0, S, basis, t, tau):
+    """sum_R P_R T exp(G_R tau) R_S exp(G_R t) v0 with R_S = S^T (x) I, the map rho -> rho S.
 
-    ``tau`` may be a scalar or a grid; the result has shape
-    (len(basis),) or (len(basis), len(tau)).
+    In the eigenmodes of the stack this is the bilinear form
+    sum_{R,j,k} P_R (T r_Rj) e^{lambda_Rj tau} (l_Rj . R_S r_Rk) e^{lambda_Rk t} (l_Rk . v0).
     """
     rho0 = qops.require_density_matrix(rho0)
     S = np.asarray(S, dtype=complex)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if t < 0 or np.any(tau_arr < 0):
+    if np.any(t_arr < 0) or np.any(tau_arr < 0):
         raise ValueError("correlation times must be nonnegative")
     T = np.array([qops.vectorize(np.asarray(A, dtype=complex).T) for A in basis])
-    v0 = qops.vectorize(rho0)
-    out = np.zeros((len(basis), tau_arr.size), dtype=complex)
-    d = model.dim
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        fac = qops.generator_factorization(generator(model, rate))
-        rho_t = qops.devectorize(fac.apply_many([t], v0)[0], d)
-        seed = qops.vectorize(rho_t @ S)
-        vecs = fac.apply_many(tau_arr, seed)
-        out += weight * (T @ vecs.T)
-    return out if np.ndim(tau) else out[:, 0]
+    R_S = np.kron(S.T, np.eye(S.shape[0]))
+    rho_t = stack.per_rate(t_arr.reshape(-1), qops.vectorize(rho0)[None])  # (R, n_t, D)
+    corr = T @ stack.average(tau_arr.reshape(-1), R_S @ np.swapaxes(rho_t, 1, 2))
+    return np.moveaxis(corr, 0, -1).reshape((len(basis),) + np.shape(t) + np.shape(tau))
 
 
-def qrt_prediction(model: ModelSpec, rho0, S, basis, t, taugrid):
-    """Regression-rule prediction: G(tau) applied to the measured tau=0 value."""
-    taugrid = np.asarray(taugrid, dtype=float)
-    anchor = two_time_correlation(model, rho0, S, basis, t, 0.0)
-    G = observable_propagator(model, basis, taugrid)
-    return np.einsum("tmn,n->mt", G, anchor)
+def two_time_correlation(model: ModelSpec, rho0, S, basis, t, tau):
+    """Exact <S(t) A_mu(t+tau)>, averaged over the rates.
+
+    ``t`` and ``tau`` may each be a scalar or a grid; the result has shape
+    (len(basis),) + shape(t) + shape(tau).
+    """
+    return _correlation(rate_stack(model), rho0, S, basis, t, tau)
 
 
 @dataclass(frozen=True)
@@ -126,64 +104,18 @@ def qrt_residual(model: ModelSpec, rho0, S, basis, tgrid, taugrid) -> Correlatio
     """Actual minus predicted correlators over the full (t, tau) surface."""
     tgrid = np.asarray(tgrid, dtype=float)
     taugrid = np.asarray(taugrid, dtype=float)
-    G = observable_propagator(model, basis, taugrid)
-    n_obs = len(basis)
-    actual = np.empty((tgrid.size, taugrid.size, n_obs), dtype=complex)
-    predicted = np.empty_like(actual)
+    stack = rate_stack(model)
+    G = _observable_propagator(stack, basis, taugrid)
     # the equal-time anchor is always tau = 0, whatever the tau grid contains
-    taug_full = np.concatenate(([0.0], taugrid))
-    for k, t in enumerate(tgrid):
-        corr = two_time_correlation(model, rho0, S, basis, t, taug_full)
-        actual[k] = corr[:, 1:].T
-        predicted[k] = np.einsum("tmn,n->tm", G, corr[:, 0])
+    corr = _correlation(stack, rho0, S, basis, tgrid, np.concatenate(([0.0], taugrid)))
+    actual = corr[:, :, 1:].transpose(1, 2, 0)
+    predicted = np.einsum("smn,nk->ksm", G, corr[:, :, 0])
     return CorrelationSurface(tgrid, taugrid, actual, predicted, actual - predicted)
-
-
-def heisenberg_generator(model: ModelSpec, rate, basis):
-    """Matrix M_R with Tr{A (L_H + gamma L)[S]} = M_R Tr{A S} for all S.
-
-    The adjoint (observable-side) form of the fixed-rate generator, expressed
-    in the given complete basis.
-    """
-    T, cols, gram_inv = _basis_matrices(basis)
-    return T @ generator(model, rate) @ (cols @ gram_inv)
-
-
-def stationary_state(model: ModelSpec, rho0):
-    """Projection of rho0 onto the null space of the average generator.
-
-    Pure dephasing has a conserved population sector, so the stationary state
-    is resolved by the initial condition.
-    """
-    rho0 = qops.require_density_matrix(rho0)
-    avg = np.zeros((model.dim ** 2, model.dim ** 2), dtype=complex)
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        avg += weight * generator(model, rate)
-    w, V = np.linalg.eig(avg)
-    left = np.linalg.inv(V)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    null = np.abs(w) <= 1e-12 * scale
-    proj = V[:, null] @ left[null, :]
-    return qops.devectorize(proj @ qops.vectorize(rho0), model.dim)
 
 
 def dephasing_h(ens: RateEnsemble, t, tau):
     """Memory witness h(t, tau) = P0(t+tau) - P0(t) P0(tau)."""
     return survival(ens, np.asarray(t) + np.asarray(tau)) - survival(ens, t) * survival(ens, tau)
-
-
-def dephasing_analytic(ens: RateEnsemble, rho0, t):
-    """Closed-form dephasing map g+ rho + g- sigma_z rho sigma_z.
-
-    g+- = (1 +- P0(t)) / 2; interaction picture, two-level systems only.
-    """
-    rho0 = qops.require_density_matrix(rho0)
-    if rho0.shape != (2, 2):
-        raise ValueError("closed-form dephasing is for two-level systems")
-    p0 = survival(ens, t)
-    g_plus = 0.5 * (1.0 + p0)
-    g_minus = 0.5 * (1.0 - p0)
-    return g_plus * rho0 + g_minus * (SIGMA_Z @ rho0 @ SIGMA_Z)
 
 
 def dephasing_residual_closed_form(ens: RateEnsemble, rho0, S, basis, tgrid, taugrid):

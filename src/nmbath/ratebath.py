@@ -401,15 +401,15 @@ def talbot_invert(transform, t, nodes=TALBOT_NODES, contour_scale=2.0 * TALBOT_N
     shape[0] = 0.5
     shape[1:] = 1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
 
-    out = np.empty(t_arr.shape)
-    for k, tk in enumerate(t_arr):
-        p = (r / tk) * theta * (cot + 1j)
-        p[0] = r / tk
-        vals = np.asarray(transform(p), dtype=complex)
-        terms = np.exp(tk * p) * shape * vals
-        if not np.all(np.isfinite(terms)):
-            raise FloatingPointError(f"Talbot contour overflowed at t = {tk}")
-        out[k] = (r / (M * tk)) * terms.sum().real
+    # the contour nodes of every time at once, shape (n_t, nodes)
+    scale = (r / t_arr)[:, None]
+    p = (scale * theta) * (cot + 1j)
+    p[:, 0] = scale[:, 0]
+    terms = np.exp(t_arr[:, None] * p) * shape * np.asarray(transform(p), dtype=complex)
+    bad = ~np.all(np.isfinite(terms), axis=1)
+    if np.any(bad):
+        raise FloatingPointError(f"Talbot contour overflowed at t = {t_arr[bad][0]}")
+    out = (r / (M * t_arr)) * terms.sum(axis=1).real
     return out if np.ndim(t) else float(out[0])
 
 

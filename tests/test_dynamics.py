@@ -4,8 +4,10 @@ import scipy.integrate
 import scipy.linalg
 
 import nmbath as nm
-from nmbath import _mc, dynamics, qops
+from nmbath import _mc, dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
+
+from helpers import apply_superop, ensemble_propagators, propagate
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_XY = 0.5 * (IDENTITY_2 + (SIGMA_X + nm.SIGMA_Y) / np.sqrt(2.0))
@@ -42,7 +44,7 @@ class TestEvolveEnsemble:
         res = nm.evolve_ensemble(model, RHO_PLUS, tg)
         gen = dynamics.generator(model, gamma)
         for k in (0, 50, 200):
-            direct = qops.apply_superop(qops.propagate(gen, tg[k]), RHO_PLUS)
+            direct = apply_superop(propagate(gen, tg[k]), RHO_PLUS)
             assert np.max(np.abs(res.states[k] - direct)) < 1e-12
 
     def test_dephasing_coherence_is_survival(self):
@@ -74,6 +76,53 @@ class TestEvolveEnsemble:
         model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
         with pytest.raises(ValueError):
             nm.evolve_ensemble(model, np.diag([0.9, 0.3]), nm.time_grid(1.0, 10))
+
+
+class TestExpmFallback:
+    """sigma_x jumps at gamma = omega sit on an exceptional point: cond(V) ~ 1e8.
+
+    Such a rate is evaluated by scaling-and-squaring; every ensemble consumer
+    must still match a dense expm per rate.
+    """
+
+    CASES = {"single": ([0.5], [1.0]), "mixed": ([0.5, 2.0], [0.5, 0.5])}
+
+    @pytest.fixture(params=sorted(CASES))
+    def model(self, request):
+        rates, weights = self.CASES[request.param]
+        return sigma_x_model(nm.rate_ensemble(rates, weights), omega=0.5)
+
+    def test_evolve_ensemble(self, model):
+        tg = nm.time_grid(6.0, 30)
+        res = nm.evolve_ensemble(model, RHO_XY, tg)
+        ref = ensemble_propagators(model, tg) @ qops.vectorize(RHO_XY)
+        assert np.max(np.abs(res.states.reshape(tg.size, -1, order="F") - ref)) < 1e-10
+        assert res.meta["expm_fallbacks"] == 1
+
+    def test_propagator_series(self, model):
+        tg = nm.time_grid(6.0, 30)
+        maps = dynamics.ensemble_propagator_series(model, tg)
+        assert np.max(np.abs(maps - ensemble_propagators(model, tg))) < 1e-10
+
+    def test_qrt_residual(self, model):
+        basis = qrt.pauli_basis()
+        tg, taug = nm.time_grid(3.0, 6), nm.time_grid(4.0, 8)
+        surf = qrt.qrt_residual(model, RHO_XY, SIGMA_Z, basis, tg, taug)
+        T = np.array([qops.vectorize(A.T) for A in basis])
+        R_S = np.kron(SIGMA_Z.T, IDENTITY_2)
+        v0 = qops.vectorize(RHO_XY)
+        actual = 0.0
+        for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
+            gen = dynamics.generator(model, rate)
+            seeds = np.array([R_S @ propagate(gen, t) @ v0 for t in tg])
+            props = np.array([propagate(gen, tau) for tau in taug])
+            actual = actual + weight * np.einsum("mi,sij,kj->ksm", T, props, seeds)
+        # the Paulis are orthogonal with Gram matrix 2 I; taug[0] = 0 gives the anchor
+        cols = np.array([qops.vectorize(A) for A in basis]).T / 2
+        G = T @ ensemble_propagators(model, taug) @ cols
+        predicted = np.einsum("smn,kn->ksm", G, actual[:, 0])
+        assert np.max(np.abs(surf.actual - actual)) < 1e-10
+        assert np.max(np.abs(surf.predicted - predicted)) < 1e-10
 
 
 class TestEvolveVolterra:
@@ -179,7 +228,7 @@ class TestEvolveVolterra:
         tg = nm.time_grid(4.0, 400)
         maps = dynamics.volterra_propagator_series(model, tg)
         vol = nm.evolve_volterra(model, RHO_XY, tg)
-        applied = np.array([qops.apply_superop(m, RHO_XY) for m in maps])
+        applied = np.array([apply_superop(m, RHO_XY) for m in maps])
         assert np.max(np.abs(applied - vol.states)) < 1e-12
 
 

@@ -5,6 +5,9 @@ import nmbath as nm
 from nmbath import dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
 
+from helpers import (apply_superop, dephasing_analytic, expectation_series, heisenberg_generator,
+                     propagate, qrt_prediction, stationary_state)
+
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_Y = 0.5 * (IDENTITY_2 + SIGMA_Y)
 BASIS = qrt.pauli_basis()
@@ -28,7 +31,7 @@ class TestExpectationSeries:
     def test_dephasing_survival_envelope(self):
         model = nm.dephasing_model(TWO_RATE)
         tg = np.linspace(0.0, 6.0, 13)
-        series = qrt.expectation_series(model, RHO_PLUS, BASIS, tg)
+        series = expectation_series(model, RHO_PLUS, BASIS, tg)
         p0 = nm.survival(TWO_RATE, tg)
         assert np.max(np.abs(series[0] - p0)) < 1e-12
         assert np.max(np.abs(series[2])) < 1e-12
@@ -36,14 +39,14 @@ class TestExpectationSeries:
 
     def test_maximally_mixed(self):
         model = nm.dephasing_model(TWO_RATE)
-        series = qrt.expectation_series(model, 0.5 * IDENTITY_2, BASIS,
+        series = expectation_series(model, 0.5 * IDENTITY_2, BASIS,
                                         np.linspace(0.0, 4.0, 9))
         assert np.max(np.abs(series[:3])) < 1e-13
 
     def test_raw_sigma_z_rate(self):
         gamma = 0.8
         tg = np.linspace(0.0, 3.0, 7)
-        series = qrt.expectation_series(raw_sigma_z_model(gamma), RHO_PLUS, BASIS, tg)
+        series = expectation_series(raw_sigma_z_model(gamma), RHO_PLUS, BASIS, tg)
         assert np.max(np.abs(series[0] - np.exp(-2 * gamma * tg))) < 1e-12
 
     def test_matches_evolution_trace(self):
@@ -51,7 +54,7 @@ class TestExpectationSeries:
         tg = nm.time_grid(4.0, 50)
         rng = np.random.default_rng(2)
         rho0 = random_density(rng)
-        series = qrt.expectation_series(model, rho0, BASIS, tg)
+        series = expectation_series(model, rho0, BASIS, tg)
         res = nm.evolve_ensemble(model, rho0, tg)
         direct = np.array([[np.trace(A @ s) for s in res.states] for A in BASIS])
         assert np.max(np.abs(series - direct)) < 1e-10
@@ -87,7 +90,7 @@ class TestTwoTimeCorrelation:
         expect = np.zeros(4, dtype=complex)
         for rate, weight in zip(TWO_RATE.rates, TWO_RATE.weights):
             gen = dynamics.generator(model, rate)
-            rho_t = qops.apply_superop(qops.propagate(gen, 1.3), RHO_Y)
+            rho_t = apply_superop(propagate(gen, 1.3), RHO_Y)
             expect += weight * np.array([np.trace(A @ rho_t @ SIGMA_Z) for A in BASIS])
         assert np.max(np.abs(out - expect)) < 1e-12
 
@@ -96,6 +99,17 @@ class TestTwoTimeCorrelation:
         out = qrt.two_time_correlation(raw_sigma_z_model(gamma), 0.5 * IDENTITY_2,
                                        SIGMA_X, BASIS, 1.0, 0.8)
         assert abs(out[0] - np.exp(-2 * gamma * 0.8)) < 1e-12
+
+    def test_grids_match_scalar_calls(self):
+        model = nm.ModelSpec(0.65 * SIGMA_Z, (SIGMA_X,), TWO_RATE, "schroedinger")
+        tg, taug = np.array([0.0, 0.4, 1.3]), np.array([0.0, 0.5, 2.0, 3.0])
+        grid = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, tg, taug)
+        assert grid.shape == (4, 3, 4)
+        assert qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, tg, 0.5).shape == (4, 3)
+        for k, t in enumerate(tg):
+            for s, tau in enumerate(taug):
+                point = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, t, tau)
+                assert np.max(np.abs(grid[:, k, s] - point)) < 1e-14
 
     def test_two_rate_memory_correction(self):
         model = nm.dephasing_model(TWO_RATE)
@@ -109,13 +123,13 @@ class TestPrediction:
     def test_single_rate_prediction_exact(self):
         model = nm.dephasing_model(nm.single_rate_ensemble(1.5))
         taug = np.linspace(0.0, 4.0, 9)
-        pred = qrt.qrt_prediction(model, RHO_Y, SIGMA_Z, BASIS, 0.9, taug)
+        pred = qrt_prediction(model, RHO_Y, SIGMA_Z, BASIS, 0.9, taug)
         actual = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, 0.9, taug)
         assert np.max(np.abs(pred - actual)) < 1e-12
 
     def test_tau_zero_anchored(self):
         model = nm.dephasing_model(TWO_RATE)
-        pred = qrt.qrt_prediction(model, RHO_Y, SIGMA_Z, BASIS, 0.7, [0.0])
+        pred = qrt_prediction(model, RHO_Y, SIGMA_Z, BASIS, 0.7, [0.0])
         actual = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, 0.7, 0.0)
         assert np.max(np.abs(pred[:, 0] - actual)) < 1e-12
 
@@ -166,13 +180,13 @@ class TestDephasingClosedForms:
         assert abs(qrt.dephasing_h(TWO_RATE, 0.0, 1.7)) < 1e-14
 
     def test_analytic_map_limits(self):
-        rho = qrt.dephasing_analytic(TWO_RATE, RHO_Y, 0.0)
+        rho = dephasing_analytic(TWO_RATE, RHO_Y, 0.0)
         assert np.max(np.abs(rho - RHO_Y)) < 1e-14
-        rho_inf = qrt.dephasing_analytic(TWO_RATE, RHO_Y, 1e6)
+        rho_inf = dephasing_analytic(TWO_RATE, RHO_Y, 1e6)
         assert np.max(np.abs(rho_inf - np.diag(np.diag(RHO_Y)))) < 1e-12
 
     def test_g_plus_value(self):
-        rho = qrt.dephasing_analytic(TWO_RATE, RHO_PLUS, 1.0)
+        rho = dephasing_analytic(TWO_RATE, RHO_PLUS, 1.0)
         g_plus = 0.5 * (1.0 + nm.survival(TWO_RATE, 1.0))
         assert abs(g_plus - 0.625804) < 5e-7
         assert abs(rho[0, 1] - (2 * g_plus - 1.0) * RHO_PLUS[0, 1]) < 1e-14
@@ -190,14 +204,14 @@ class TestDephasingClosedForms:
             tg = nm.time_grid(5.0, 50)
             res = nm.evolve_ensemble(model, rho0, tg)
             for k in (0, 17, 50):
-                direct = qrt.dephasing_analytic(ens, rho0, tg[k])
+                direct = dephasing_analytic(ens, rho0, tg[k])
                 assert np.max(np.abs(res.states[k] - direct)) < 1e-8
 
 
 class TestStationaryState:
     def test_dephasing_keeps_populations(self):
         model = nm.dephasing_model(TWO_RATE)
-        rho_inf = qrt.stationary_state(model, RHO_Y)
+        rho_inf = stationary_state(model, RHO_Y)
         assert np.max(np.abs(rho_inf - np.diag(np.diag(RHO_Y)))) < 1e-12
         assert abs(np.trace(rho_inf) - 1.0) < 1e-12
 
@@ -207,10 +221,10 @@ class TestHeisenbergGenerator:
         model = nm.dephasing_model(TWO_RATE)
         rng = np.random.default_rng(5)
         for rate in TWO_RATE.rates:
-            M = qrt.heisenberg_generator(model, rate, BASIS)
+            M = heisenberg_generator(model, rate, BASIS)
             gen = dynamics.generator(model, rate)
             for _ in range(20):
                 S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                lhs = np.array([np.trace(A @ qops.apply_superop(gen, S)) for A in BASIS])
+                lhs = np.array([np.trace(A @ apply_superop(gen, S)) for A in BASIS])
                 rhs = M @ np.array([np.trace(A @ S) for A in BASIS])
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
