@@ -2,23 +2,22 @@
 
 Each trajectory applies the event map E at its sampled event times, with the
 coherent propagator exp(t L_H) in between.  Moments on the time grid come
-from one of two routes:
+from one of two routes, both sums over trajectories that change only at
+events:
 
 * ``count_histogram`` - without coherent evolution a trajectory is just
   E^N(t) v0, so the sums over trajectories are fixed by how many trajectories
   have had k events by each grid time.  The counts are exact integers.
-* ``batched`` - otherwise all trajectories of a fixed-size chunk advance in
-  lockstep through their events; chunks may run on threads and are merged in
-  chunk order with compensated summation.
+* ``eigenbasis`` - otherwise each trajectory is written in the eigenbasis of
+  L_H, where its state is constant between events; each event adds the change
+  of the state and of its outer products to a difference array over the grid.
 
 Event times come from a counter-based splitmix64 generator keyed by
 (seed, trajectory index): every trajectory's sample path is a pure function
-of that pair, independent of batching or thread count.
+of that pair, independent of batching.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,9 +25,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# fixed so that results do not depend on the thread count
-CHUNK = 8192
-# event-count histogram cells (grid times x counts) held at once; bounds the
+# cells held at once: event-count histogram cells (grid times x counts), or
+# feature cells (trajectories x features) of one event round; bounds the
 # memory when some trajectory has thousands of events
 HIST_CELLS = 1 << 16
 
@@ -125,95 +123,6 @@ def sample_renewal_events(seed, n, t_max, rates, weights):
     return _assemble(n, rounds_idx, rounds_t)
 
 
-def _advance_prefix_numpy(v0, tgrid, ev_times, ev_off, use_unitary, U_h, W, Winv, lam, E,
-                          out_sum, out_sq):
-    """Reversed-composition advance for the renewal unraveling.
-
-    Each trajectory accumulates the prefix map M = U(g_1) E U(g_2) E ... E over
-    its inter-event gaps and reports M @ U(t - s_last) @ v0.  Averaging this
-    string solves the effective memory-kernel equation; the forward ordering
-    of :func:`_advance_chunk_numpy` would not for noncommuting models.
-    """
-    n = ev_off.size - 1
-    dsq = v0.size
-    M = np.tile(np.eye(dsq, dtype=np.complex128), (n, 1, 1))
-    s_prev = np.zeros(n)
-    ptr = ev_off[:-1].copy()
-    end = ev_off[1:]
-    c0 = Winv @ v0 if use_unitary else v0
-    WinvE = Winv @ E
-    for k in range(tgrid.size):
-        tk = tgrid[k]
-        while True:
-            cand = np.nonzero(ptr < end)[0]
-            if cand.size:
-                cand = cand[ev_times[ptr[cand]] <= tk]
-            if cand.size == 0:
-                break
-            te = ev_times[ptr[cand]]
-            gap = te - s_prev[cand]
-            if use_unitary:
-                # M <- M @ U(gap) @ E with U(gap) = W diag(exp(lam*gap)) Winv
-                phased = np.exp(np.outer(gap, lam))[:, None, :] * (M[cand] @ W)
-                M[cand] = phased @ WinvE
-            else:
-                M[cand] = M[cand] @ E
-            s_prev[cand] = te
-            ptr[cand] += 1
-        if use_unitary:
-            tail = np.exp(np.outer(tk - s_prev, lam)) * c0
-            V = np.einsum("nij,nj->ni", M, tail @ W.T)
-        else:
-            V = M @ v0
-        out_sum[k] += V.sum(axis=0)
-        out_sq[k] += (V.real**2 + V.imag**2).sum(axis=0)
-    return out_sum, out_sq
-
-
-def _advance_chunk_numpy(v0, tgrid, ev_times, ev_off, use_unitary, U_h, W, Winv, lam, E,
-                         out_sum, out_sq):
-    """Vectorized batch advance: all trajectories of the chunk move in lockstep."""
-    n = ev_off.size - 1
-    dsq = v0.size
-    V = np.tile(v0, (n, 1))
-    cur = np.zeros(n)
-    ptr = ev_off[:-1].copy()
-    end = ev_off[1:]
-    ET = np.ascontiguousarray(E.T)
-    WinvT = np.ascontiguousarray(Winv.T) if use_unitary else None
-    WT = np.ascontiguousarray(W.T) if use_unitary else None
-    UhT = np.ascontiguousarray(U_h.T) if use_unitary else None
-    prev_t = 0.0
-    for k in range(tgrid.size):
-        tk = tgrid[k]
-        while True:
-            cand = np.nonzero(ptr < end)[0]
-            if cand.size:
-                cand = cand[ev_times[ptr[cand]] <= tk]
-            if cand.size == 0:
-                break
-            te = ev_times[ptr[cand]]
-            if use_unitary:
-                dt = te - cur[cand]
-                V[cand] = ((V[cand] @ WinvT) * np.exp(np.outer(dt, lam))) @ WT
-            V[cand] = V[cand] @ ET
-            cur[cand] = te
-            ptr[cand] += 1
-        if use_unitary and tk > 0.0:
-            aligned = cur == prev_t
-            if np.any(aligned):
-                V[aligned] = V[aligned] @ UhT
-            rest = np.nonzero(~aligned)[0]
-            if rest.size:
-                dt = tk - cur[rest]
-                V[rest] = ((V[rest] @ WinvT) * np.exp(np.outer(dt, lam))) @ WT
-        cur[:] = tk
-        prev_t = tk
-        out_sum[k] += V.sum(axis=0)
-        out_sq[k] += (V.real**2 + V.imag**2).sum(axis=0)
-    return out_sum, out_sq
-
-
 def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
     """Sum over trajectories of ``cols[N_i(t_k)]`` at every grid time t_k.
 
@@ -255,29 +164,79 @@ def _mean_stderr(total_sum, total_sq, n):
     return mean, stderr
 
 
-def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1,
-                     composition="forward"):
-    """Advance all trajectories and return (mean, standard error) per grid point.
+def _moment_features(states):
+    """Each state and the outer products of its rows with their conjugates, one row per state."""
+    m = len(states)
+    outer = states[..., :, None] * states[..., None, :].conj()
+    return np.concatenate([states.reshape(m, -1), outer.reshape(m, -1)], axis=1)
 
-    ``unitary`` is None for trivial inter-event evolution, else a tuple
-    (U_h, W, Winv, lam) with the single-step propagator and the spectral
-    factorization used for off-grid intervals.  ``composition`` selects the
-    operator ordering of each realization: "forward" applies the event map
-    chronologically (the frozen-rate unraveling of the exact average) while
-    "reversed" attaches the drawn gaps to the unitaries in reverse, which is
-    the string whose renewal average solves the effective memory-kernel
-    equation.  Without a unitary both orderings give E^N(t) v0 and the moments
-    come from event-count histograms.  Otherwise accumulation is chunked with
-    a fixed chunk size and merged in chunk order with compensated summation,
-    so the result is independent of the thread count.
+
+def _event_sums(tgrid, ev_times, ev_off, state0, lam, M):
+    """Sum over trajectories of ``_moment_features(state)`` at every grid time.
+
+    Every trajectory starts in ``state0`` and changes state only at its
+    events: an event at time s maps the state X to (X D(s)) M D(-s), with
+    D(s) = diag(exp(lam s)) acting on the last axis.  The features are
+    therefore constant between events, so each event adds features(new) -
+    features(old) to a difference array at the first grid time t_g >= s, and
+    one running sum over time gives the sums.  Round r applies the r-th event
+    of every trajectory that has one; trajectories are taken in blocks of at
+    most ``HIST_CELLS`` feature cells, which bounds the temporaries of a round.
+    """
+    n, nt = ev_off.size - 1, tgrid.size
+    f0 = _moment_features(state0[None])[0]
+    width = f0.size
+    # row nt collects the events past the grid
+    flat = np.zeros((nt + 1) * width, dtype=np.complex128)
+    diff = flat.reshape(nt + 1, width)
+    diff[0] = n * f0
+    # "left": an event exactly at t_k counts at t_k
+    row = np.searchsorted(tgrid, ev_times, side="left")
+    cols = np.arange(width)
+    counts = np.diff(ev_off)
+    phase_shape = (-1,) + (1,) * (state0.ndim - 1) + (lam.size,)
+    block = max(1, HIST_CELLS // width)
+    for i0 in range(0, n, block):
+        alive = i0 + np.flatnonzero(counts[i0:i0 + block])
+        state = np.broadcast_to(state0, (alive.size,) + state0.shape)
+        feat = np.broadcast_to(f0, (alive.size, width))
+        r = 0
+        while alive.size:
+            k = ev_off[alive] + r
+            ph = np.exp(np.outer(ev_times[k], lam)).reshape(phase_shape)
+            state = ((state * ph) @ M) * ph.conj()
+            new = _moment_features(state)
+            cell = row[k, None] * width + cols
+            np.add.at(flat, cell.ravel(), (new - feat).ravel())
+            r += 1
+            keep = counts[alive] > r
+            alive, state, feat = alive[keep], state[keep], new[keep]
+    return np.cumsum(diff[:nt], axis=0)
+
+
+def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forward"):
+    """Return (mean, standard error) over all trajectories at every grid time.
+
+    ``unitary`` is None for trivial inter-event evolution, else the pair
+    (W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag.  ``composition``
+    selects the operator ordering of each realization: "forward" applies the
+    event map chronologically (the frozen-rate unraveling of the exact
+    average) while "reversed" attaches the drawn gaps to the unitaries in
+    reverse, which is the string whose renewal average solves the effective
+    memory-kernel equation.  Without a unitary both orderings give E^N(t) v0
+    and the moments come from event-count histograms.  Otherwise each
+    trajectory is written in the eigenbasis of L_H, where its state changes
+    only at events (see :func:`_event_sums`), with E' = W^dag E W:
+
+    * forward: v(t) = W (exp(lam t) * c), with c <- D(-s) E' D(s) c at each
+      event from c = W^dag v0;
+    * reversed: v(t) = B (exp(lam t) * W^dag v0), with B <- B D(s) E' D(-s)
+      at each event from B = W.
     """
     if composition not in ("forward", "reversed"):
         raise ValueError(f"unknown composition {composition!r}")
 
     tgrid = np.ascontiguousarray(tgrid, dtype=np.float64)
-    if tgrid[0] != 0.0:
-        # the aligned-step fast path assumes every interval has the grid step
-        raise ValueError("trajectory grids must start at t = 0")
     v0 = np.ascontiguousarray(v0, dtype=np.complex128)
     ev_times = np.ascontiguousarray(ev_times, dtype=np.float64)
     ev_off = np.ascontiguousarray(ev_off, dtype=np.int64)
@@ -297,41 +256,22 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, n_threads=1,
         total_sum = np.ascontiguousarray(sums[:, :2 * dsq]).view(np.complex128)
         return _mean_stderr(total_sum, sums[:, 2 * dsq:], n)
 
-    U_h, W, Winv, lam = (np.ascontiguousarray(a, dtype=np.complex128) for a in unitary)
-    fn = _advance_prefix_numpy if composition == "reversed" else _advance_chunk_numpy
-    starts = list(range(0, n, CHUNK))
-    results = [None] * len(starts)
-
-    def work(j):
-        i0 = starts[j]
-        i1 = min(i0 + CHUNK, n)
-        s = np.zeros((nt, dsq), dtype=np.complex128)
-        q = np.zeros((nt, dsq), dtype=np.float64)
-        off = ev_off[i0:i1 + 1] - ev_off[i0]
-        times = ev_times[ev_off[i0]:ev_off[i1]]
-        fn(v0, tgrid, times, off, True, U_h, W, Winv, lam, E, s, q)
-        results[j] = (s, q)
-
-    if n_threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, range(len(starts))))
+    W, lam = (np.asarray(a, dtype=np.complex128) for a in unitary)
+    E_eig = W.conj().T @ E @ W
+    c0 = W.conj().T @ v0
+    phases = np.exp(np.outer(tgrid, lam))
+    if composition == "forward":
+        # c is held as a row, so the event map acts from the right as E'^T
+        sums = _event_sums(tgrid, ev_times, ev_off, c0, lam, E_eig.T)
+        Y = W * phases[:, None, :]
+        total_sum = np.einsum("kia,ka->ki", Y, sums[:, :dsq])
+        gram = sums[:, dsq:].reshape(nt, dsq, dsq)
+        total_sq = np.einsum("kia,kab,kib->ki", Y, gram, Y.conj()).real
     else:
-        for j in range(len(starts)):
-            work(j)
-
-    total_sum = np.zeros((nt, dsq), dtype=np.complex128)
-    total_sq = np.zeros((nt, dsq), dtype=np.float64)
-    comp_sum = np.zeros_like(total_sum)
-    comp_sq = np.zeros_like(total_sq)
-    for s, q in results:
-        # Kahan step keeps the chunk merge insensitive to chunk count
-        y = s - comp_sum
-        t = total_sum + y
-        comp_sum = (t - total_sum) - y
-        total_sum = t
-        y2 = q - comp_sq
-        t2 = total_sq + y2
-        comp_sq = (t2 - total_sq) - y2
-        total_sq = t2
-
+        sums = _event_sums(tgrid, ev_times, ev_off, W, lam, E_eig)
+        x = phases * c0
+        B = sums[:, :dsq * dsq].reshape(nt, dsq, dsq)
+        total_sum = np.einsum("kij,kj->ki", B, x)
+        gram = sums[:, dsq * dsq:].reshape(nt, dsq, dsq, dsq)
+        total_sq = np.einsum("kijl,kj,kl->ki", gram, x, x.conj()).real
     return _mean_stderr(total_sum, total_sq, n)

@@ -19,7 +19,6 @@ Three mutually validating routes:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,25 +309,21 @@ def exact_memory_superop(model: ModelSpec, u):
     return out
 
 
-def _unitary_factorization(model, h):
-    """(U_h, W, W^dag, lam) for exp(t L_H) applied between jump events."""
+def _unitary_factorization(model):
+    """(W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, for the evolution between events."""
     H = np.asarray(model.hamiltonian, dtype=complex)
     energies, basis = np.linalg.eigh(H)
     d = H.shape[0]
     lam = -1j * (np.tile(energies, d) - np.repeat(energies, d))
-    W = np.kron(basis.conj(), basis)
-    U_h = (W * np.exp(lam * h)) @ W.conj().T
-    return U_h, W, W.conj().T, lam
+    return np.kron(basis.conj(), basis), lam
 
 
-def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig, n_threads=None):
+def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig):
     """Monte Carlo unraveling; returns the averaged result with standard errors.
 
     Standard errors are per matrix entry: sqrt(var/n) with the complex sample
     variance E|z|^2 - |Ez|^2.  ``meta["route"]`` is "count_histogram" when
-    nothing evolves between events and "batched" otherwise.  Parallelism of
-    the batched route is capped by ``n_threads`` or the NMBATH_THREADS
-    environment variable; the average is independent of the thread count.
+    nothing evolves between events and "eigenbasis" otherwise.
     """
     rho0 = qops.require_density_matrix(rho0)
     tgrid, _ = _check_grid(tgrid)
@@ -352,21 +347,16 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig, n_threads=None
     if model.picture == "interaction" or np.max(np.abs(model.hamiltonian)) == 0.0:
         unitary = None
     else:
-        unitary = _unitary_factorization(model, float(tgrid[1] - tgrid[0]))
-
-    if n_threads is None:
-        n_threads = int(os.environ.get("NMBATH_THREADS", "1"))
-    n_threads = max(1, n_threads)
+        unitary = _unitary_factorization(model)
 
     mean, stderr = _mc.run_trajectories(
-        qops.vectorize(rho0), tgrid, ev_times, ev_off, unitary, E,
-        n_threads=n_threads, composition=composition)
+        qops.vectorize(rho0), tgrid, ev_times, ev_off, unitary, E, composition=composition)
     d = model.dim
     states = mean.reshape(-1, d, d, order="F")
     errs = stderr.reshape(-1, d, d, order="F")
     drift, mineig = _diagnose(states)
     meta = {"scheme": cfg.scheme,
-            "route": "count_histogram" if unitary is None else "batched",
+            "route": "count_histogram" if unitary is None else "eigenbasis",
             "events": int(ev_off[-1]),
             "events_max_per_traj": int(np.diff(ev_off).max())}
     return EvolutionResult(tgrid, states, tag, drift, mineig, stderr=errs,

@@ -101,12 +101,15 @@ def manifold_ensemble(gamma, a, b, n):
     """N-level environment with geometric rates and populations.
 
     Rates gamma * exp(-b R) and weights proportional to exp(-a R) for
-    R = 0 .. n-1.  b = 0 collapses to a single rate.
+    R = 0 .. n-1.  b = 0 collapses to a single rate.  b < 0 is refused: it
+    gives alpha = a/b < 0, outside the power-law regime w(t) ~ t^-(1+alpha).
     """
     if n < 1:
         raise ValueError("manifold needs at least one level")
     if a <= 0:
         raise ValueError("population decay constant a must be positive")
+    if b < 0:
+        raise ValueError("rate decay constant b must be nonnegative")
     if gamma <= 0:
         raise ValueError("base rate must be positive")
     levels = np.arange(n)

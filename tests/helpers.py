@@ -7,7 +7,7 @@ they stay independent of the rate-stack eigendecomposition the package uses.
 import numpy as np
 import scipy.linalg
 
-from nmbath import dynamics, qops, qrt
+from nmbath import _mc, dynamics, qops, qrt
 from nmbath.qops import SIGMA_Z, devectorize, vectorize
 from nmbath.ratebath import survival
 
@@ -109,3 +109,36 @@ def dephasing_analytic(ens, rho0, t):
     g_plus = 0.5 * (1.0 + p0)
     g_minus = 0.5 * (1.0 - p0)
     return g_plus * rho0 + g_minus * (SIGMA_Z @ rho0 @ SIGMA_Z)
+
+
+def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
+    """(mean, standard error) of the unraveling, one trajectory at a time.
+
+    Between events a trajectory evolves with a dense expm(gap L_H).  The
+    "forward" string applies E at each event in time order; the "reversed"
+    string is U(g_1) E U(g_2) E ... E U(t - s_N) v0 with the gaps g_j between
+    successive events.  An event at or before a grid time counts at it.
+    """
+    dsq = v0.size
+    eye = np.eye(dsq)
+    # expm of zero is the identity; skipping it keeps large event-count tests fast
+    U = (lambda gap: scipy.linalg.expm(gap * L_H)) if np.any(L_H) else (lambda gap: eye)
+    total = np.zeros((len(tgrid), dsq), dtype=complex)
+    total_sq = np.zeros((len(tgrid), dsq))
+    V = np.empty((len(tgrid), dsq), dtype=complex)
+    for i in range(len(off) - 1):
+        events = iter(times[off[i]:off[i + 1]])
+        s = next(events, np.inf)
+        # V(t) = prefix U(t - last) v; forward moves v, reversed grows prefix
+        prefix, v, last = eye, v0, 0.0
+        for k, t in enumerate(tgrid):
+            while s <= t:
+                if composition == "forward":
+                    v = E @ (U(s - last) @ v)
+                else:
+                    prefix = prefix @ U(s - last) @ E
+                last, s = s, next(events, np.inf)
+            V[k] = prefix @ (U(t - last) @ v)
+        total += V
+        total_sq += np.abs(V) ** 2
+    return _mc._mean_stderr(total, total_sq, len(off) - 1)

@@ -7,7 +7,7 @@ import nmbath as nm
 from nmbath import _mc, dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
-from helpers import apply_superop, ensemble_propagators, propagate
+from helpers import apply_superop, ensemble_propagators, propagate, trajectory_moments
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_XY = 0.5 * (IDENTITY_2 + (SIGMA_X + nm.SIGMA_Y) / np.sqrt(2.0))
@@ -308,15 +308,16 @@ class TestMonteCarlo:
         c = nm.mc_trajectories(model, RHO_XY, tg, nm.MCConfig(3000, 6))
         assert not np.array_equal(a.states, c.states)
 
-    def test_thread_count_invariance(self):
-        # threads only serve the batched route, so the model must precess
-        model = sigma_x_model(nm.rate_ensemble([1.0, 2.0], [0.5, 0.5]))
-        tg = nm.time_grid(3.0, 30)
-        a = nm.mc_trajectories(model, RHO_PLUS, tg, nm.MCConfig(20000, 5), n_threads=1)
-        b = nm.mc_trajectories(model, RHO_PLUS, tg, nm.MCConfig(20000, 5), n_threads=4)
-        assert a.meta["route"] == "batched"
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.stderr, b.stderr)
+    def test_schroedinger_dephasing(self):
+        # H != 0 with commuting jumps takes the eigenbasis route
+        ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
+        model = nm.dephasing_model(ens, omega=1.3, picture="schroedinger")
+        tg = nm.time_grid(5.0, 50)
+        exact = nm.evolve_ensemble(model, RHO_XY, tg)
+        for scheme in ("frozen_rate", "renewal"):
+            mc = nm.mc_trajectories(model, RHO_XY, tg, nm.MCConfig(20000, 29, scheme))
+            assert mc.meta["route"] == "eigenbasis"
+            assert max_z(mc, exact.states) < 3.0
 
     def test_stderr_scaling(self):
         model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
@@ -340,15 +341,11 @@ class TestMonteCarlo:
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
 
-def batched_moments(v0, tg, times, off, E, composition):
-    """Reference moments from the batched advance without coherent evolution."""
-    dsq = v0.size
-    eye = np.eye(dsq, dtype=complex)
-    s = np.zeros((tg.size, dsq), dtype=complex)
-    q = np.zeros((tg.size, dsq))
-    advance = _mc._advance_prefix_numpy if composition == "reversed" else _mc._advance_chunk_numpy
-    advance(v0, tg, times, off, False, eye, eye, eye, np.zeros(dsq, dtype=complex), E, s, q)
-    return _mc._mean_stderr(s, q, off.size - 1)
+EDGE_GRID = np.linspace(0.0, 1.0, 11)
+_EDGE_TIMES = [0.0, EDGE_GRID[3], 0.55, EDGE_GRID[7], EDGE_GRID[7], EDGE_GRID[10], 0.05, 1.5]
+# no events; events at t = 0 and exactly on grid times; two at one time; one
+# past the grid; then a single trajectory and none with events
+EDGE_STREAMS = ((_EDGE_TIMES, [0, 0, 6, 6, 7, 8]), (_EDGE_TIMES[:6], [0, 6]), ([], [0, 0]))
 
 
 class TestCountHistogram:
@@ -359,11 +356,12 @@ class TestCountHistogram:
     def random_event_map(self):
         return qops.jump_superoperator(random_normalized_jumps(np.random.default_rng(8)))
 
-    def assert_matches_batched(self, tg, times, off, E, composition):
+    def assert_matches_reference(self, tg, times, off, E, composition):
         times, off = np.asarray(times, dtype=float), np.asarray(off, dtype=np.int64)
         mean, stderr = _mc.run_trajectories(self.V0, tg, times, off, None, E,
                                             composition=composition)
-        ref_mean, ref_stderr = batched_moments(self.V0, tg, times, off, E, composition)
+        ref_mean, ref_stderr = trajectory_moments(self.V0, tg, times, off,
+                                                  np.zeros((4, 4)), E, composition)
         assert np.max(np.abs(mean - ref_mean)) < 1e-12
         assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
 
@@ -376,21 +374,16 @@ class TestCountHistogram:
         frozen = _mc.sample_frozen_events(3, 5000, tg[-1], rates, weights)
         renewal = _mc.sample_renewal_events(3, 5000, tg[-1], rates, weights)
         for E in (E_deph, self.random_event_map()):
-            self.assert_matches_batched(tg, *frozen, E, "forward")
-            self.assert_matches_batched(tg, *renewal, E, "reversed")
+            self.assert_matches_reference(tg, *frozen, E, "forward")
+            self.assert_matches_reference(tg, *renewal, E, "reversed")
 
     def test_edge_streams(self):
-        tg = np.linspace(0.0, 1.0, 11)
+        tg = EDGE_GRID
         E = self.random_event_map()
-        # no events; events at t = 0 and exactly on grid times; one past the grid
-        times = [0.0, tg[3], 0.55, tg[7], tg[7], tg[10], 0.05, 1.5]
-        off = [0, 0, 6, 6, 7, 8]
         for composition in ("forward", "reversed"):
-            self.assert_matches_batched(tg, times, off, E, composition)
-            self.assert_matches_batched(tg, times[:6], off[1:3], E, composition)
-            self.assert_matches_batched(tg, [], [0, 0], E, composition)
-        _, stderr = _mc.run_trajectories(self.V0, tg, np.array(times[:6]),
-                                         np.array([0, 6]), None, E)
+            for times, off in EDGE_STREAMS:
+                self.assert_matches_reference(tg, times, off, E, composition)
+        _, stderr = _mc.run_trajectories(self.V0, tg, *EDGE_STREAMS[1], None, E)
         assert not np.any(stderr)
 
     def test_blocks_of_grid_times(self, monkeypatch):
@@ -408,12 +401,70 @@ class TestCountHistogram:
         ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
         tg = nm.time_grid(3.0, 30)
         for model, rho, route in ((nm.dephasing_model(ens), RHO_XY, "count_histogram"),
-                                  (sigma_x_model(ens), RHO_PLUS, "batched")):
+                                  (sigma_x_model(ens), RHO_PLUS, "eigenbasis")):
             for scheme in ("frozen_rate", "renewal"):
                 res = nm.mc_trajectories(model, rho, tg, nm.MCConfig(2000, 9, scheme))
                 assert res.meta["route"] == route
                 assert type(res.meta["events"]) is int and res.meta["events"] > 0
                 assert 0 < res.meta["events_max_per_traj"] <= res.meta["events"]
+
+
+class TestEigenbasisRoute:
+    """With coherent evolution the moments are event-driven sums in the eigenbasis of L_H."""
+
+    V0 = qops.vectorize(RHO_XY)
+    ENSEMBLE = nm.rate_ensemble([1.5, 3.0, 0.7], [0.3, 0.3, 0.4])
+
+    def models(self):
+        """sigma_x events with precession, and a random event map under a random H."""
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return (sigma_x_model(self.ENSEMBLE, omega=1.7),
+                nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng), self.ENSEMBLE,
+                             "schroedinger"))
+
+    def moments(self, model, tg, times, off, composition):
+        return _mc.run_trajectories(self.V0, tg, times, off, dynamics._unitary_factorization(model),
+                                    dynamics.event_map(model), composition=composition)
+
+    def assert_matches_reference(self, model, tg, times, off, composition):
+        mean, stderr = self.moments(model, tg, times, off, composition)
+        ref_mean, ref_stderr = trajectory_moments(
+            self.V0, tg, times, off, dynamics.coherent_liouvillian(model),
+            dynamics.event_map(model), composition)
+        assert np.max(np.abs(mean - ref_mean)) < 1e-12
+        assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["sigma_x", "random"])
+    def test_sampled_streams_both_schemes(self, case):
+        model = self.models()[case]
+        tg = nm.time_grid(3.0, 30)
+        rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
+        frozen = _mc.sample_frozen_events(3, 200, tg[-1], rates, weights)
+        renewal = _mc.sample_renewal_events(3, 200, tg[-1], rates, weights)
+        self.assert_matches_reference(model, tg, *frozen, "forward")
+        self.assert_matches_reference(model, tg, *renewal, "reversed")
+
+    def test_edge_streams(self):
+        for model in self.models():
+            for composition in ("forward", "reversed"):
+                for times, off in EDGE_STREAMS:
+                    self.assert_matches_reference(model, EDGE_GRID, times, off, composition)
+                _, stderr = self.moments(model, EDGE_GRID, *EDGE_STREAMS[1], composition)
+                assert not np.any(stderr)
+
+    def test_blocks_of_trajectories(self, monkeypatch):
+        model = self.models()[1]
+        tg = nm.time_grid(3.0, 30)
+        rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
+        streams = ((_mc.sample_frozen_events(4, 1000, tg[-1], rates, weights), "forward"),
+                   (_mc.sample_renewal_events(4, 1000, tg[-1], rates, weights), "reversed"))
+        whole = [self.moments(model, tg, *s, c) for s, c in streams]
+        monkeypatch.setattr(_mc, "HIST_CELLS", 1)
+        for (times, off), composition in streams:
+            one_each = self.moments(model, tg, times, off, composition)
+            for a, b in zip(whole.pop(0), one_each):
+                assert np.max(np.abs(a - b)) < 1e-14
 
 
 class TestInvariants:

@@ -97,6 +97,10 @@ class TestEnsembleConstruction:
         assert math.isclose(st.mean_rate, 2.0)
         assert st.fluctuation_rate == 0.0
 
+    def test_manifold_rejects_negative_b(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rb.manifold_ensemble(1.0, 0.3, -0.2, 10)
+
     def test_manifold_n_one(self):
         ens = rb.manifold_ensemble(1.5, 0.3, 0.4, 1)
         assert ens.n == 1
