@@ -69,7 +69,9 @@ def _json_safe(obj):
             else [_json_safe(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return "inf" if math.isinf(v) else v
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return v
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, complex):
@@ -116,7 +118,7 @@ def cmd_kernel(args):
     cfg, out_dir = _load(args)
     ens = cfgmod.build_ensemble(cfg)
     t_max = cfgmod.grid_t_max(cfg, ens)
-    steps = int(cfg["grid.steps"])
+    steps = cfgmod.count(cfg, "grid.steps")
     tg = time_grid(t_max, steps)[1:]  # t > 0 so the fractional branch can invert
 
     if isinstance(ens, FractionalKernelModel):
@@ -200,9 +202,9 @@ def cmd_evolve(args):
         return 0
     model = cfgmod.build_model(cfg)
     rho0 = _initial_state(model)
-    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), int(cfg["grid.steps"]))
-    seed = int(cfg["solver.seed"])
-    n_traj = int(cfg["solver.trajectories"])
+    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), cfgmod.count(cfg, "grid.steps"))
+    seed = cfgmod.seed(cfg)
+    n_traj = cfgmod.count(cfg, "solver.trajectories")
 
     results = {}
     for method in methods:
@@ -250,8 +252,9 @@ def cmd_correlate(args):
     S = cfgmod.build_operator(cfg, "correlate.s_operator", "correlate.s_matrix")
     basis = qrt.pauli_basis()
     rho0 = _initial_state(model)
-    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), int(cfg["grid.corr_t_steps"]))
-    taug = time_grid(float(cfg["grid.tau_max"]), int(cfg["grid.tau_steps"]))
+    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble),
+                   cfgmod.count(cfg, "grid.corr_t_steps"))
+    taug = time_grid(cfgmod.duration(cfg, "grid.tau_max"), cfgmod.count(cfg, "grid.tau_steps"))
     surf = qrt.qrt_residual(model, rho0, S, basis, tg, taug)
 
     t_col = np.repeat(surf.tgrid, surf.taugrid.size)
@@ -302,7 +305,7 @@ def cmd_cpcheck(args):
     if not methods:
         print("warning: cpcheck needs deterministic solvers; nothing to do", file=sys.stderr)
         return 0
-    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), int(cfg["grid.steps"]))
+    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), cfgmod.count(cfg, "grid.steps"))
     header, cols = ["t"], [tg]
     summary = {"tolerance": -1e-8, "solvers": {}}
     for method in methods:
@@ -326,7 +329,7 @@ def cmd_cpcheck(args):
 def cmd_fitpow(args):
     cfg, out_dir = _load(args)
     ens = cfgmod.build_ensemble(cfg)
-    points = int(cfg["fitpow.points"])
+    points = cfgmod.count(cfg, "fitpow.points")
     if isinstance(ens, FractionalKernelModel):
         mean_rate = ens.mean_rate
         lo = float(cfg.get("fitpow.window_lo", 5.0 / mean_rate))

@@ -152,6 +152,26 @@ def _get_int(cfg, key):
         raise ConfigError(f"key {key!r}: {cfg[key]!r} is not an integer") from None
 
 
+def count(cfg, key):
+    """An integer field that must be at least 1: grid sizes, trajectories, fitpow.points."""
+    n = _get_int(cfg, key)
+    if n < 1:
+        raise ConfigError(f"key {key!r}: {n} is not an integer >= 1")
+    return n
+
+
+def seed(cfg):
+    return _get_int(cfg, "solver.seed")
+
+
+def duration(cfg, key):
+    """A time field that must be finite and > 0: grid.t_max or grid.tau_max."""
+    t = _get_float(cfg, key)
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a finite time > 0")
+    return t
+
+
 def _parse_matrix(text, key):
     try:
         rows = [
@@ -273,7 +293,7 @@ def grid_t_max(cfg, ensemble):
         else:
             mean = ensemble.mean_rate
         return 20.0 / mean
-    return _get_float(cfg, "grid.t_max")
+    return duration(cfg, "grid.t_max")
 
 
 def solver_methods(cfg):

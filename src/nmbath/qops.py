@@ -12,7 +12,6 @@ Units: hbar = 1, rates in units of the base rate, times in inverse rates.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -158,6 +157,10 @@ class _RateStack:
         return np.broadcast_to(flat, (self.weights.size,) + flat.shape[1:]), X.shape[1:]
 
     def _expm(self, r, times):
+        # imported here, the only use of scipy: at module level it costs about
+        # 0.35 s on every CLI start
+        import scipy.linalg
+
         return scipy.linalg.expm(times[:, None, None] * self.gens[r])
 
     def per_rate(self, times, X):

@@ -1,0 +1,51 @@
+"""A fresh interpreter, as every CLI call starts one.
+
+In-process tests cannot show these: pytest has already imported scipy
+through ``tests/helpers.py``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# sigma_x jumps with precession at the exceptional point gamma = omega: the one
+# rate's eigenvector matrix is singular, so it takes the expm fallback
+EXCEPTIONAL_POINT_CFG = """\
+ensemble.type = custom
+ensemble.rates = 0.5
+ensemble.weights = 1.0
+model.omega = 0.5
+model.jumps = matrix
+model.jump_matrices = 0,1;1,0
+model.picture = schroedinger
+grid.t_max = 5.0
+grid.steps = 50
+solver.methods = ensemble
+"""
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-c", "import sys, nmbath.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_expm_fallback_imports_scipy_on_first_use(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EXCEPTIONAL_POINT_CFG)
+    out = tmp_path / "out"
+    proc = run_python("-m", "nmbath.cli", "evolve", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "evolve_summary.json").read_text())
+    assert summary["meta"]["ensemble"]["expm_fallbacks"] == 1

@@ -41,6 +41,9 @@ OVERFLOW_RATES_CFG = CUSTOM_RATES_CFG.format("1e200,1")
 H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
                     "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
 
+STEPS_READERS = ("kernel", "evolve", "cpcheck")
+T_MAX_READERS = ("kernel", "evolve", "correlate", "cpcheck")
+
 # hostile but parseable configs: (config, {command: required exit code}); every
 # other command may end in any documented exit code
 HOSTILE = {
@@ -63,6 +66,12 @@ HOSTILE = {
     "rates_1e200": (OVERFLOW_RATES_CFG, {"kernel": 3, "evolve": 3, "cpcheck": 3}),
     # alpha = a/b < 0 lies outside the power-law regime
     "manifold_b_minus_1": (MANIFOLD_ABN_CFG.format(0.01, -1, 400), dict.fromkeys(COMMANDS, 2)),
+    # grid and solver fields: counts are integers >= 1, times finite and > 0
+    "steps_0": (P_UP_CFG.format(0.5) + "grid.steps = 0\n", dict.fromkeys(STEPS_READERS, 2)),
+    "steps_2_5": (P_UP_CFG.format(0.5) + "grid.steps = 2.5\n", dict.fromkeys(STEPS_READERS, 2)),
+    "t_max_nan": (P_UP_CFG.format(0.5) + "grid.t_max = nan\n", dict.fromkeys(T_MAX_READERS, 2)),
+    "t_max_inf": (P_UP_CFG.format(0.5) + "grid.t_max = inf\n", dict.fromkeys(T_MAX_READERS, 2)),
+    "trajectories_0": (P_UP_CFG.format(0.5) + "solver.trajectories = 0\n", {"evolve": 2}),
 }
 
 
@@ -142,6 +151,17 @@ class TestConfigParsing:
         cfg = cfgmod.resolve(cfgmod.parse_config(text))
         with pytest.raises(ConfigError, match="finite ensemble"):
             cfgmod.build_model(cfg)
+
+    def test_grid_and_solver_fields_name_their_key(self):
+        cfg = cfgmod.resolve({"ensemble.type": "two_state", "grid.steps": "0",
+                              "grid.tau_max": "nan", "solver.seed": "1.5"})
+        with pytest.raises(ConfigError, match="grid.steps"):
+            cfgmod.count(cfg, "grid.steps")
+        with pytest.raises(ConfigError, match="grid.tau_max"):
+            cfgmod.duration(cfg, "grid.tau_max")
+        with pytest.raises(ConfigError, match="solver.seed"):
+            cfgmod.seed(cfg)
+        assert cfgmod.count(cfg, "grid.tau_steps") == 25
 
     def test_solver_methods_parse(self):
         cfg = cfgmod.resolve({"ensemble.type": "two_state", "solver.methods": ""})
@@ -361,6 +381,10 @@ class TestCliContract:
             assert code == required.get(command, code) and code in (0, 2, 3), (command, err)
             assert "Traceback" not in err and err.count("\n") + len(caught) <= 1, \
                 (command, err, [str(w.message) for w in caught])
+
+    def test_json_safe_keeps_sign_of_infinity(self):
+        payload = {"a": -np.inf, "b": np.inf, "c": [np.float64(-np.inf)]}
+        assert cli._json_safe(payload) == {"a": "-inf", "b": "inf", "c": ["-inf"]}
 
     @pytest.mark.parametrize("command,cfg_text", [
         ("kernel", TWO_STATE_CFG),
