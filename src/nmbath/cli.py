@@ -43,9 +43,15 @@ from .ratebath import (
 
 _BASIS_LABELS = ("sx", "sy", "sz", "id")
 
+# most cells formatted at once by write_csv, which bounds its temporaries
+CSV_CELLS = 1 << 16
+
 
 def write_csv(path, header, columns):
-    """Columns are 1-d arrays of equal length; complex ones split into re/im."""
+    """Columns are 1-d arrays of equal length; complex ones split into re/im.
+
+    One %-format writes each block of rows, at most CSV_CELLS values.
+    """
     names, cols = [], []
     for name, col in zip(header, columns):
         col = np.asarray(col)
@@ -55,10 +61,14 @@ def write_csv(path, header, columns):
         else:
             names.append(name)
             cols.append(col)
-    row = ",".join(["%.16e"] * len(cols)) + "\n"
+    table = np.column_stack(cols)
+    rows = max(1, CSV_CELLS // table.shape[1])
+    row = ",".join(["%.16e"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % values for values in zip(*cols))
+        for start in range(0, table.shape[0], rows):
+            block = table[start:start + rows]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _json_safe(obj):
@@ -329,18 +339,11 @@ def cmd_cpcheck(args):
 def cmd_fitpow(args):
     cfg, out_dir = _load(args)
     ens = cfgmod.build_ensemble(cfg)
-    points = cfgmod.count(cfg, "fitpow.points")
     if isinstance(ens, FractionalKernelModel):
-        mean_rate = ens.mean_rate
-        lo = float(cfg.get("fitpow.window_lo", 5.0 / mean_rate))
-        hi = float(cfg.get("fitpow.window_hi", 500.0 / mean_rate))
-        tg = np.geomspace(lo, hi, points)
+        lo, hi, tg = cfgmod.fit_grid(cfg, (5.0 / ens.mean_rate, 500.0 / ens.mean_rate))
         w = talbot_invert(ens.w_of_u, tg)
     else:
-        lo_def, hi_def = default_power_law_window(ens)
-        lo = float(cfg.get("fitpow.window_lo", lo_def))
-        hi = float(cfg.get("fitpow.window_hi", hi_def))
-        tg = np.geomspace(lo, hi, points)
+        lo, hi, tg = cfgmod.fit_grid(cfg, default_power_law_window(ens))
         w = waiting_density(ens, tg)
     fit = fit_power_law(tg, w, (lo, hi))
     write_csv(os.path.join(out_dir, "fitpow_series.csv"), ["t", "w"], [tg, w])

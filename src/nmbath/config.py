@@ -16,6 +16,7 @@ import numpy as np
 from . import qops
 from .dynamics import ModelSpec, dephasing_jumps
 from .ratebath import (
+    FIT_MIN_SAMPLES,
     fractional_model,
     manifold_ensemble,
     rate_ensemble,
@@ -170,6 +171,30 @@ def duration(cfg, key):
     if not (math.isfinite(t) and t > 0):
         raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a finite time > 0")
     return t
+
+
+def fit_grid(cfg, default_window):
+    """(lo, hi, t): the power-law fit window and its ``fitpow.points`` log-spaced times.
+
+    ``fitpow.window_lo`` and ``fitpow.window_hi`` fall back to ``default_window``.
+    Each must be finite and > 0 with lo < hi, and the times must put at least
+    FIT_MIN_SAMPLES samples on the window.
+    """
+    points = count(cfg, "fitpow.points")
+    if points < FIT_MIN_SAMPLES:
+        raise ConfigError(f"key 'fitpow.points': {points} is below the fit's "
+                          f"minimum of {FIT_MIN_SAMPLES} samples")
+    keys = ("fitpow.window_lo", "fitpow.window_hi")
+    lo, hi = (duration(cfg, key) if key in cfg else value
+              for key, value in zip(keys, default_window))
+    if not lo < hi:
+        raise ConfigError(f"keys {keys}: window [{lo}, {hi}] needs window_lo < window_hi")
+    t = np.geomspace(lo, hi, points)
+    selected = np.count_nonzero((t >= lo) & (t <= hi))
+    if selected < FIT_MIN_SAMPLES:
+        raise ConfigError(f"keys {keys}: window [{lo}, {hi}] selects {selected} samples, "
+                          f"the fit needs >= {FIT_MIN_SAMPLES}")
+    return lo, hi, t
 
 
 def _parse_matrix(text, key):

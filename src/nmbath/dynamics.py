@@ -10,7 +10,10 @@ Three mutually validating routes:
   one auxiliary memory variable per pole makes the equation a Markovian
   embedding (the pseudomode construction): a linear ODE with a constant
   generator on (rho, m_1..m_n).  Each grid step applies its exact
-  propagator expm(h G), so the only error is round-off.
+  propagator Phi = expm(h G), so the only error is round-off.  The grid is
+  taken in blocks of B steps, rho_{jB+i} = (P Phi^i)(Phi^B)^j y0: about
+  2 log2 B + nt/B matrix products and one stacked product replace nt
+  matrix-vector steps.
 * ``mc_trajectories`` - stochastic unravelings applying the event map E at
   random times: ``frozen_rate`` draws one rate per trajectory (converges to
   the exact average), ``renewal`` draws i.i.d. waiting times from the mixture
@@ -238,20 +241,72 @@ def _embedding_step_map(model, kernel, h):
     return phi
 
 
+def _coupled_sets(phi, D):
+    """The sets of components of x that Phi couples, directly or through one another.
+
+    y = (x, m_1..m_n) stacks D components per block.  Components in different
+    sets never mix, so each set evolves under its own block of Phi; under
+    dephasing every component is a set of its own.  Sets of one size are
+    stacked: the result is one (sets, size) index array per size.
+    """
+    blocks = phi.shape[0] // D
+    reach = (phi.reshape(blocks, D, blocks, D) != 0).any(axis=(0, 2))
+    reach |= reach.T | np.eye(D, dtype=bool)
+    for _ in range(D.bit_length()):
+        reach = reach @ reach
+    sets = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+    return [np.array([s for s in sets if s.size == size]) for size in {s.size for s in sets}]
+
+
+def _block_powers(phi, x0, nt):
+    """x_k = P Phi^k y0 for k <= nt from y0 = (x0, 0), for a stack of step maps.
+
+    ``phi`` is (sets, S, S) and ``x0`` (sets, D) or (sets, D, cols); P keeps
+    the first D rows.  In blocks of B steps, x_{jB+i} = R_i z_j with the rows
+    R_i = P Phi^i (i < B) and the block starts z_j = (Phi^B)^j y0, so every
+    grid time comes from one product of the stacked rows with the stacked
+    starts.  B is the smallest power of two with B D >= S, so the starts take
+    no more memory than the output; it is capped at nt, so no power of Phi
+    past the last grid time is formed.
+    """
+    sets, S, D = phi.shape[0], phi.shape[1], x0.shape[1]
+    c = x0[0].size // D
+    B = 1 << min((S // D - 1).bit_length(), nt.bit_length() - 1)
+    # rows by doubling: [R_0..R_{m-1}; (R_0..R_{m-1}) Phi^m], m = 1, 2, .., B/2
+    rows, power = np.tile(np.eye(D, S, dtype=complex), (sets, 1, 1)), phi
+    while rows.shape[1] < B * D:
+        rows = np.concatenate([rows, rows @ power], axis=1)
+        power = power @ power
+    y = np.zeros((sets, S, c), dtype=complex)
+    y[:, :D] = x0.reshape(sets, D, c)
+    starts = [y]
+    for _ in range(nt // B):
+        starts.append(power @ starts[-1])
+    # full blocks in one product; a partial last block uses only its own rows
+    full, rest = divmod(nt + 1, B)
+    out = (rows @ np.concatenate(starts[:full], axis=2)).reshape(sets, B, D, full, c)
+    out = [out.transpose(3, 1, 0, 2, 4).reshape(full * B, sets, D, c)]
+    if rest:
+        last = (rows[:, :rest * D] @ starts[full]).reshape(sets, rest, D, c)
+        out.append(last.transpose(1, 0, 2, 3))
+    return np.concatenate(out).reshape((nt + 1,) + x0.shape)
+
+
 def _volterra_run(model, x0, tgrid, kernel):
-    """Iterate y <- Phi y from (x0, 0); ``x0`` is a state (d^2,) or a map (d^2, d^2)."""
+    """x_k = P Phi^k (x0, 0) at every grid time; ``x0`` is a state (d^2,) or a map (d^2, d^2).
+
+    Each coupled set of components runs on its own block of Phi.
+    """
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("Volterra integration must start at t = 0")
     phi = _embedding_step_map(model, kernel, h)
-    D = x0.shape[0]
-    y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
-    y[:D] = x0
-    out = np.empty((tgrid.size,) + x0.shape, dtype=complex)
-    out[0] = x0
-    for k in range(1, tgrid.size):
-        y = phi @ y
-        out[k] = y[:D]
+    D, nt = x0.shape[0], tgrid.size - 1
+    offsets = D * np.arange(phi.shape[0] // D)[:, None]
+    out = np.empty((nt + 1,) + x0.shape, dtype=complex)
+    for group in _coupled_sets(phi, D):
+        idx = (offsets + group[:, None]).reshape(len(group), -1)
+        out[:, group] = _block_powers(phi[idx[:, :, None], idx[:, None]], x0[group], nt)
     if not np.all(np.isfinite(out)):
         raise SolverError("Volterra solution is not finite; the kernel has a growing mode")
     return tgrid, out

@@ -25,6 +25,9 @@ DEFLATE_RTOL = 1e-13
 
 TALBOT_NODES = 32
 
+# fewest samples a power-law fit accepts on its window
+FIT_MIN_SAMPLES = 10
+
 
 class KernelDecompositionError(RuntimeError):
     """Pole separation or reconstruction of the memory kernel failed."""
@@ -435,9 +438,10 @@ def fit_power_law(t, values, window):
     values = np.asarray(values, dtype=float)
     lo, hi = window
     mask = (t >= lo) & (t <= hi)
-    if np.count_nonzero(mask) < 10:
+    if np.count_nonzero(mask) < FIT_MIN_SAMPLES:
         raise ValueError(
-            f"window [{lo}, {hi}] selects {np.count_nonzero(mask)} samples, need >= 10"
+            f"window [{lo}, {hi}] selects {np.count_nonzero(mask)} samples, "
+            f"need >= {FIT_MIN_SAMPLES}"
         )
     if np.any(values[mask] <= 0):
         raise ValueError("power-law fit requires positive values on the window")

@@ -142,3 +142,17 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
         total += V
         total_sq += np.abs(V) ** 2
     return _mc._mean_stderr(total, total_sq, len(off) - 1)
+
+
+def volterra_stepped(model, x0, tgrid, kernel):
+    """x_k = P Phi^k y0 by the plain loop y <- Phi y, one grid step at a time."""
+    tgrid, h = dynamics._check_grid(tgrid)
+    phi = dynamics._embedding_step_map(model, kernel, h)
+    D = x0.shape[0]
+    y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
+    y[:D] = x0
+    out = [x0]
+    for _ in range(tgrid.size - 1):
+        y = phi @ y
+        out.append(y[:D])
+    return np.array(out)

@@ -2,7 +2,8 @@
 
 ``bench/layers.py`` wraps package functions by name and binds their arguments
 by parameter name.  A rename there reads as an absent layer whose metrics are
-zero, not as an error, so this guard runs one traced ``evolve`` per route.
+zero, not as an error, so this guard runs one traced ``evolve`` per route and
+one traced ``cpcheck``.
 """
 
 import os
@@ -33,18 +34,39 @@ model.jumps = matrix
 model.jump_matrices = 0,1;1,0
 model.picture = schroedinger
 """
+MANIFOLD_CPCHECK_CFG = """\
+ensemble.type = manifold
+ensemble.gamma = 1.0
+ensemble.a = 0.2
+ensemble.b = 0.3
+ensemble.n = 20
+grid.steps = 40
+solver.methods = ensemble,volterra
+"""
+
+
+def traced(command, cfg_text, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    return tracer
 
 
 @pytest.mark.parametrize("text", [PRECESSION_CFG, EVOLVE_CFG], ids=["precession", "dephasing"])
 def test_tracer_sees_every_layer(tmp_path, text):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    tracer = layers.Tracer()
-    tracer.install()
-    try:
-        code = cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    finally:
-        tracer.uninstall()
-    assert code == 0
+    tracer = traced("evolve", text, tmp_path)
     assert tracer.absent == []
     assert tracer.counts["traj_steps"] > 0 and tracer.counts["events"] > 0
+
+
+def test_tracer_sees_cpcheck_layers(tmp_path):
+    tracer = traced("cpcheck", MANIFOLD_CPCHECK_CFG, tmp_path)
+    assert tracer.absent == []
+    assert tracer.counts["dynamics.volterra_sweep.calls"] == 1
+    assert tracer.counts["volterra_mode_steps"] > 0 and tracer.counts["choi_maps"] == 2 * 41

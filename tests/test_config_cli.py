@@ -41,6 +41,8 @@ OVERFLOW_RATES_CFG = CUSTOM_RATES_CFG.format("1e200,1")
 H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
                     "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
 
+FITPOW_WINDOW_CFG = "fitpow.window_lo = {}\nfitpow.window_hi = {}\n"
+
 STEPS_READERS = ("kernel", "evolve", "cpcheck")
 T_MAX_READERS = ("kernel", "evolve", "correlate", "cpcheck")
 
@@ -72,6 +74,12 @@ HOSTILE = {
     "t_max_nan": (P_UP_CFG.format(0.5) + "grid.t_max = nan\n", dict.fromkeys(T_MAX_READERS, 2)),
     "t_max_inf": (P_UP_CFG.format(0.5) + "grid.t_max = inf\n", dict.fromkeys(T_MAX_READERS, 2)),
     "trajectories_0": (P_UP_CFG.format(0.5) + "solver.trajectories = 0\n", {"evolve": 2}),
+    # fitpow window: finite and > 0, lo < hi, and at least the fit's 10 samples
+    "window_lo_x": (P_UP_CFG.format(0.5) + "fitpow.window_lo = x\n", {"fitpow": 2}),
+    "window_hi_minus_1": (P_UP_CFG.format(0.5) + "fitpow.window_hi = -1\n", {"fitpow": 2}),
+    "window_lo_above_hi": (P_UP_CFG.format(0.5) + FITPOW_WINDOW_CFG.format(50, 5), {"fitpow": 2}),
+    "window_lo_nan": (P_UP_CFG.format(0.5) + "fitpow.window_lo = nan\n", {"fitpow": 2}),
+    "fitpow_points_2": (P_UP_CFG.format(0.5) + "fitpow.points = 2\n", {"fitpow": 2}),
 }
 
 
@@ -162,6 +170,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="solver.seed"):
             cfgmod.seed(cfg)
         assert cfgmod.count(cfg, "grid.tau_steps") == 25
+
+    @pytest.mark.parametrize("fields,key", [
+        ({"fitpow.window_lo": "x"}, "fitpow.window_lo"),
+        ({"fitpow.window_hi": "-1"}, "fitpow.window_hi"),
+        ({"fitpow.window_lo": "nan"}, "fitpow.window_lo"),
+        ({"fitpow.window_lo": "50", "fitpow.window_hi": "5"}, "fitpow.window_lo"),
+        ({"fitpow.points": "2"}, "fitpow.points"),
+    ])
+    def test_fitpow_fields_name_their_key(self, fields, key):
+        cfg = cfgmod.resolve({"ensemble.type": "two_state", **fields})
+        with pytest.raises(ConfigError, match=key):
+            cfgmod.fit_grid(cfg, (1.0, 20.0))
+
+    @pytest.mark.parametrize("lo", [0.3, 123.0])
+    def test_fitpow_window_must_hold_ten_samples(self, lo):
+        # on a window one ulp wide, rounding puts some log-spaced times outside it
+        hi = float(np.nextafter(lo, np.inf))
+        cfg = cfgmod.resolve({"ensemble.type": "two_state", "fitpow.points": "10",
+                              **dict(zip(("fitpow.window_lo", "fitpow.window_hi"),
+                                         (repr(lo), repr(hi))))})
+        t = np.geomspace(lo, hi, 10)
+        if np.count_nonzero((t >= lo) & (t <= hi)) < 10:
+            with pytest.raises(ConfigError, match="fitpow.window_lo.*selects"):
+                cfgmod.fit_grid(cfg, (1.0, 20.0))
+        else:
+            assert np.array_equal(cfgmod.fit_grid(cfg, (1.0, 20.0))[2], t)
+
+    def test_fitpow_window_defaults(self):
+        cfg = cfgmod.resolve({"ensemble.type": "two_state", "fitpow.window_hi": "inf"})
+        with pytest.raises(ConfigError, match="fitpow.window_hi"):
+            cfgmod.fit_grid(cfg, (1.0, 20.0))
+        cfg = cfgmod.resolve({"ensemble.type": "two_state"})
+        lo, hi, t = cfgmod.fit_grid(cfg, (1.0, 20.0))
+        assert (lo, hi) == (1.0, 20.0) and np.array_equal(t, np.geomspace(1.0, 20.0, 200))
 
     def test_solver_methods_parse(self):
         cfg = cfgmod.resolve({"ensemble.type": "two_state", "solver.methods": ""})
@@ -414,4 +456,22 @@ class TestCliContract:
         cols = [edge, edge, edge[::-1]]
         expected = "x,z_re,z_im\n" + "".join(
             ",".join(f"{v:.16e}" for v in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("cells", [None, 6], ids=["default_block", "two_row_blocks"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, "past_one_block"])
+    def test_csv_blocks_match_per_row_format(self, tmp_path, monkeypatch, cells, n_rows):
+        if cells is not None:
+            monkeypatch.setattr(cli, "CSV_CELLS", cells)
+        # x, z_re, z_im: three cells per row
+        if n_rows == "past_one_block":
+            n_rows = cli.CSV_CELLS // 3 + 2
+        edge = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, 1e300, -1.25, 1 / 3])
+        x = np.resize(edge, n_rows)
+        z = np.empty(n_rows, dtype=complex)
+        z.real, z.imag = x[::-1], np.roll(x, 1)
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), ["x", "z"], [x, z])
+        row = "%.16e,%.16e,%.16e\n"
+        expected = "x,z_re,z_im\n" + "".join(row % v for v in zip(x, z.real, z.imag))
         assert path.read_bytes() == expected.encode("utf-8")

@@ -4,10 +4,11 @@ import scipy.integrate
 import scipy.linalg
 
 import nmbath as nm
-from nmbath import _mc, dynamics, qops, qrt
+from nmbath import _mc, cli, dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
-from helpers import apply_superop, ensemble_propagators, propagate, trajectory_moments
+from helpers import (apply_superop, ensemble_propagators, propagate, trajectory_moments,
+                     volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_XY = 0.5 * (IDENTITY_2 + (SIGMA_X + nm.SIGMA_Y) / np.sqrt(2.0))
@@ -230,6 +231,119 @@ class TestEvolveVolterra:
         vol = nm.evolve_volterra(model, RHO_XY, tg)
         applied = np.array([apply_superop(m, RHO_XY) for m in maps])
         assert np.max(np.abs(applied - vol.states)) < 1e-12
+
+
+def qutrit_decay_model(ensemble):
+    """Decay |1>, |2> -> |0> under precession: one coupled set of populations
+    (rho_11 and rho_22 feed rho_00 but never each other) and six lone coherences."""
+    ket = np.eye(3)
+    jumps = (np.outer(ket[0], ket[1]), np.outer(ket[0], ket[2]), np.outer(ket[0], ket[0]))
+    return nm.ModelSpec(np.diag([0.7, 0.0, -0.4]), jumps, ensemble, "schroedinger")
+
+
+def random_generic_model(ensemble):
+    """Random H and jumps: every component of rho couples to every other."""
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return nm.ModelSpec(M + M.conj().T, random_normalized_jumps(rng), ensemble, "schroedinger")
+
+
+class TestBlockedVolterra:
+    """The blocked powers of the step map against the plain loop y <- Phi y.
+
+    B is the smallest power of two with B D >= S for each coupled set of D
+    components and its embedding size S, capped at the number of steps; the
+    grids straddle both the block length and the cap.  The models cover four
+    dephasing sets of one component, two sets of two (sigma_x), sets of
+    unequal size (qutrit decay) and one set of four.
+    """
+
+    H = 0.1
+    THREE_RATES = ([0.5, 1.5, 4.0], [0.3, 0.5, 0.2])
+    MODELS = {
+        "manifold_60": lambda: nm.dephasing_model(nm.manifold_ensemble(1.0, 0.1, 0.6, 60),
+                                                  omega=1.3, picture="schroedinger"),
+        "sigma_x": lambda: sigma_x_model(
+            nm.rate_ensemble([0.5, 1.0, 2.0, 3.0, 4.0, 6.0], np.full(6, 1.0 / 6.0)), omega=1.7),
+        "qutrit_decay": lambda: qutrit_decay_model(
+            nm.rate_ensemble(*TestBlockedVolterra.THREE_RATES)),
+        "generic": lambda: random_generic_model(
+            nm.rate_ensemble(*TestBlockedVolterra.THREE_RATES)),
+    }
+    GRIDS = {"1": lambda B: 1, "2": lambda B: 2, "B-1": lambda B: B - 1, "B": lambda B: B,
+             "B+1": lambda B: B + 1, "3B+5": lambda B: 3 * B + 5}
+
+    @pytest.fixture(scope="class", params=sorted(MODELS))
+    def case(self, request):
+        model = self.MODELS[request.param]()
+        kernel = nm.kernel_decompose(model.ensemble)
+        return model, kernel, 1 << kernel.n_modes.bit_length()
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_state_and_map_match_stepped_loop(self, case, grid):
+        model, kernel, B = case
+        steps = self.GRIDS[grid](B)
+        tg = nm.time_grid(self.H * steps, steps)
+        v0 = qops.vectorize(random_density(np.random.default_rng(5), model.dim))
+        _, states = dynamics._volterra_run(model, v0, tg, kernel)
+        maps = dynamics.volterra_propagator_series(model, tg, kernel)
+        for out, x0 in ((states, v0), (maps, np.eye(v0.size, dtype=complex))):
+            ref = volterra_stepped(model, x0, tg, kernel)
+            assert out.shape == ref.shape
+            assert np.array_equal(out[0], x0)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("edges,expected", [
+        # x_0 <- x_1 <- x_2 with no direct entry x_0 <- x_2
+        ([(0, 1), (1, 2)], [[0, 1, 2], [3]]),
+        # x_1 feeds both x_0 and x_2, which never feed each other
+        ([(0, 1), (2, 1)], [[0, 1, 2], [3]]),
+        ([], [[0], [1], [2], [3]]),
+    ])
+    def test_coupled_sets_partition_the_components(self, edges, expected):
+        # two blocks of D = 4 components, the couplings only in the memory block
+        phi = np.eye(8, dtype=complex)
+        for a, b in edges:
+            phi[4 + a, b] = 0.5
+        groups = dynamics._coupled_sets(phi, 4)
+        assert sorted(s.tolist() for g in groups for s in g) == expected
+
+    def test_short_grid_forms_no_power_past_its_end(self):
+        # a mode growing by e^60 per step: the 10-step solution (about e^600)
+        # and Phi^8 are finite, but Phi^16 y0 and Phi^64, the power for the
+        # uncapped block length, overflow; the cap at B = 8 runs it
+        model = self.MODELS["manifold_60"]()
+        dec = nm.kernel_decompose(model.ensemble)
+        amplitudes, poles = dec.amplitudes.copy(), dec.poles.copy()
+        amplitudes[0], poles[0] = 1.0, 60.0 / self.H
+        kernel = nm.KernelDecomposition(dec.markov_weight, amplitudes, poles)
+        assert kernel.n_modes.bit_length() == 6
+        tg = nm.time_grid(10 * self.H, 10)
+        v0 = qops.vectorize(RHO_XY)
+        with np.errstate(over="raise", invalid="raise"):
+            _, out = dynamics._volterra_run(model, v0, tg, kernel)
+        ref = volterra_stepped(model, v0, tg, kernel)
+        assert np.max(np.abs(ref)) > 1e200
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_growing_mode_refused_for_maps(self):
+        model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
+        kernel = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
+        with pytest.raises(nm.SolverError, match="not finite"):
+            dynamics.volterra_propagator_series(model, nm.time_grid(10.0, 100), kernel)
+
+    def test_growing_mode_exits_3_from_cli(self, tmp_path, monkeypatch, capsys):
+        growing = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
+        monkeypatch.setattr(dynamics, "kernel_decompose", lambda ens: growing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ensemble.type = custom\nensemble.rates = 1.0\nensemble.weights = 1.0\n"
+                       "grid.t_max = 10.0\ngrid.steps = 100\nsolver.methods = volterra\n")
+        for command in ("evolve", "cpcheck"):
+            code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert code == 3 and err.startswith("runtime error") and err.count("\n") == 1
 
 
 class TestExactMemorySuperop:
