@@ -132,10 +132,7 @@ def cmd_kernel(args):
     tg = time_grid(t_max, steps)[1:]  # t > 0 so the fractional branch can invert
 
     if isinstance(ens, FractionalKernelModel):
-        w = talbot_invert(ens.w_of_u, tg)
-        p0 = talbot_invert(ens.p0_of_u, tg)
-        f = talbot_invert(ens.f_of_u, tg)
-        k_reg = talbot_invert(lambda u: ens.kernel_of_u(u) - ens.mean_rate, tg)
+        w, p0, f, k_reg = talbot_invert(ens.series_of_u, tg)
         summary = {
             "model": "fractional",
             "alpha": ens.alpha,
@@ -149,9 +146,10 @@ def cmd_kernel(args):
         w = waiting_density(ens, tg)
         p0 = survival(ens, tg)
         decomp = kernel_decompose(ens)
-        f = sprinkling(ens, tg)
         k_reg = decomp.regular_part(tg)
-        f0 = sprinkling(ens, 0.0)
+        # one decomposition gives f(t) and, appended last, f(0)
+        f = sprinkling(ens, np.append(tg, 0.0))
+        f, f0 = f[:-1], f[-1]
         summary = {"model": "finite", **_ensemble_summary(ens),
                    "markov_weight": decomp.markov_weight,
                    "kernel_poles": decomp.poles,

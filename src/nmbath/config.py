@@ -136,8 +136,6 @@ def _get_float(cfg, key):
         value = cfg[key]
     except KeyError:
         raise ConfigError(f"key {key!r} is missing") from None
-    if value.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
         return float(value)
     except ValueError:
@@ -211,36 +209,41 @@ def _parse_matrix(text, key):
     return mat
 
 
+def _ensemble_value(cfg, key):
+    """``ensemble.n``, a custom ensemble's list of finite numbers, or one finite number."""
+    if key == "ensemble.n":
+        return _get_int(cfg, key)
+    if cfg["ensemble.type"] == "custom":
+        try:
+            values = [float(x) for x in cfg[key].split(",")]
+        except ValueError:
+            raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a list of numbers") from None
+    else:
+        values = _get_float(cfg, key)
+    # ensemble.tau = inf is the pure power-law tail
+    if not (np.all(np.isfinite(values)) or (key == "ensemble.tau" and values == math.inf)):
+        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not finite")
+    return values
+
+
+_ENSEMBLE_BUILDERS = {
+    "custom": rate_ensemble,
+    "two_state": two_state_ensemble,
+    "manifold": manifold_ensemble,
+    "fractional": fractional_model,
+}
+
+
 def build_ensemble(cfg):
-    """RateEnsemble for finite types, FractionalKernelModel for 'fractional'."""
+    """RateEnsemble for finite types, FractionalKernelModel for 'fractional'.
+
+    The builder of each type takes the values of its _ENSEMBLE_KEYS in order.
+    """
     etype = cfg["ensemble.type"]
+    values = [_ensemble_value(cfg, key) for key in _ENSEMBLE_KEYS[etype]]
     try:
-        if etype == "custom":
-            rates = [float(x) for x in cfg["ensemble.rates"].split(",")]
-            weights = [float(x) for x in cfg["ensemble.weights"].split(",")]
-            return rate_ensemble(rates, weights)
-        if etype == "two_state":
-            return two_state_ensemble(
-                _get_float(cfg, "ensemble.p_up"),
-                _get_float(cfg, "ensemble.gamma_up"),
-                _get_float(cfg, "ensemble.gamma_down"),
-            )
-        if etype == "manifold":
-            return manifold_ensemble(
-                _get_float(cfg, "ensemble.gamma"),
-                _get_float(cfg, "ensemble.a"),
-                _get_float(cfg, "ensemble.b"),
-                _get_int(cfg, "ensemble.n"),
-            )
-        return fractional_model(
-            _get_float(cfg, "ensemble.alpha"),
-            _get_float(cfg, "ensemble.mean_rate"),
-            _get_float(cfg, "ensemble.beta"),
-            _get_float(cfg, "ensemble.tau"),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
+        return _ENSEMBLE_BUILDERS[etype](*values)
+    except ValueError as exc:
         raise ConfigError(f"ensemble block invalid: {exc}") from exc
 
 

@@ -143,9 +143,6 @@ class EvolutionResult:
     n_trajectories: int | None = None
     meta: dict = field(default_factory=dict)
 
-    def coherence(self, i=0, j=1):
-        return self.states[:, i, j]
-
 
 def _diagnose(states):
     herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))

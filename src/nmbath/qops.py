@@ -16,6 +16,8 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
+# largest entry of sum_a V_a^dag V_a - I accepted for an event map
+NORMALIZATION_TOL = 1e-10
 
 # condition-number threshold above which propagators fall back from
 # eigendecomposition to scaling-and-squaring
@@ -50,26 +52,22 @@ def devectorize(vec, dim=None):
     return vec.reshape(dim, dim, order="F")
 
 
-def is_hermitian(op, tol=HERMITICITY_TOL):
+def require_hermitian(op, what="operator"):
     op = np.asarray(op)
-    return np.max(np.abs(op - op.conj().T)) <= tol
-
-
-def require_hermitian(op, what="operator", tol=HERMITICITY_TOL):
-    if not is_hermitian(op, tol):
-        defect = np.max(np.abs(np.asarray(op) - np.asarray(op).conj().T))
+    defect = np.max(np.abs(op - op.conj().T))
+    if not defect <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (max |M - M^dag| = {defect:.3e})")
 
 
-def require_density_matrix(rho, tol_trace=TRACE_TOL, tol_psd=PSD_TOL):
+def require_density_matrix(rho):
     """Validate Hermiticity, unit trace and positive semidefiniteness."""
     rho = np.asarray(rho, dtype=complex)
     require_hermitian(rho, "density matrix")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr!r} differs from 1")
     lo = np.linalg.eigvalsh(rho)[0]
-    if lo < tol_psd:
+    if lo < PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     return rho
 
@@ -106,7 +104,7 @@ def lindblad_dissipator(jumps, dim=None):
     return out
 
 
-def jump_superoperator(jumps, tol=1e-10):
+def jump_superoperator(jumps):
     """Trace-preserving event map E[rho] = sum_a V_a rho V_a^dag.
 
     Requires sum_a V_a^dag V_a = I so that the dissipator equals E - I.
@@ -117,7 +115,7 @@ def jump_superoperator(jumps, tol=1e-10):
     d = jumps[0].shape[0]
     norm = sum(V.conj().T @ V for V in jumps)
     defect = np.max(np.abs(norm - np.eye(d)))
-    if defect > tol:
+    if defect > NORMALIZATION_TOL:
         raise ValueError(
             f"jump operators are not normalized: ||sum V^dag V - I|| = {defect:.3e}"
         )

@@ -24,6 +24,8 @@ MERGE_RTOL = 1e-9
 DEFLATE_RTOL = 1e-13
 
 TALBOT_NODES = 32
+# contour scale of the fixed Talbot method, independent of the node count
+TALBOT_SCALE = 2.0 * TALBOT_NODES / 5.0
 
 # fewest samples a power-law fit accepts on its window
 FIT_MIN_SAMPLES = 10
@@ -60,6 +62,8 @@ def rate_ensemble(rates, weights, alpha=None):
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if rates.size == 0 or rates.size != weights.size:
         raise ValueError("rates and weights must be equal-length, nonempty")
+    if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(weights))):
+        raise ValueError("rates and weights must be finite")
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
     if np.any(weights < 0):
@@ -95,8 +99,8 @@ def two_state_ensemble(p_up, gamma_up, gamma_down):
     """Two-level environment with occupation p_up of the fast state."""
     if not 0.0 <= p_up <= 1.0:
         raise ValueError(f"p_up = {p_up} outside [0, 1]")
-    if gamma_up <= 0 or gamma_down <= 0:
-        raise ValueError("two-state rates must be positive")
+    if not (0 < gamma_up < math.inf and 0 < gamma_down < math.inf):
+        raise ValueError("two-state rates must be positive and finite")
     return rate_ensemble([gamma_up, gamma_down], [p_up, 1.0 - p_up])
 
 
@@ -109,6 +113,8 @@ def manifold_ensemble(gamma, a, b, n):
     """
     if n < 1:
         raise ValueError("manifold needs at least one level")
+    if not all(map(math.isfinite, (gamma, a, b))):
+        raise ValueError("manifold parameters gamma, a, b must be finite")
     if a <= 0:
         raise ValueError("population decay constant a must be positive")
     if b < 0:
@@ -149,22 +155,23 @@ def stats(ens: RateEnsemble) -> EnsembleStats:
     return EnsembleStats(mean, second, mean_tau, beta, eta, ens.alpha)
 
 
-def survival(ens: RateEnsemble, t):
-    """Survival probability P0(t) = sum_R P_R exp(-gamma_R t)."""
+def _exp_sum(t, exponents, coeffs):
+    """sum_j coeffs_j exp(exponents_j t) at every t >= 0; a float for scalar t."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    out = np.exp(-np.multiply.outer(t, ens.rates)) @ ens.weights
+    out = np.exp(np.multiply.outer(t, exponents)) @ coeffs
     return out if out.ndim else float(out)
+
+
+def survival(ens: RateEnsemble, t):
+    """Survival probability P0(t) = sum_R P_R exp(-gamma_R t)."""
+    return _exp_sum(t, -ens.rates, ens.weights)
 
 
 def waiting_density(ens: RateEnsemble, t):
     """Waiting-time density w(t) = -dP0/dt = sum_R P_R gamma_R exp(-gamma_R t)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
-    out = np.exp(-np.multiply.outer(t, ens.rates)) @ (ens.weights * ens.rates)
-    return out if out.ndim else float(out)
+    return _exp_sum(t, -ens.rates, ens.weights * ens.rates)
 
 
 def w_of_u(ens: RateEnsemble, u):
@@ -211,19 +218,12 @@ class KernelDecomposition:
     def of_u(self, u):
         """K(u) = markov_weight + sum_j c_j / (u - p_j)."""
         u = np.asarray(u, dtype=complex)
-        out = np.full(u.shape, self.markov_weight, dtype=complex)
-        for c, p in zip(self.amplitudes, self.poles):
-            out = out + c / (u - p)
+        out = self.markov_weight + (1.0 / (u[..., None] - self.poles)) @ self.amplitudes
         return out if out.ndim else complex(out)
 
     def regular_part(self, t):
         """The non-singular part sum_j c_j exp(p_j t)."""
-        t = np.asarray(t, dtype=float)
-        if self.n_modes == 0:
-            out = np.zeros(t.shape)
-        else:
-            out = np.exp(np.multiply.outer(t, self.poles)) @ self.amplitudes
-        return out if out.ndim else float(out)
+        return _exp_sum(t, self.poles, self.amplitudes)
 
 
 def kernel_decompose(ens: RateEnsemble) -> KernelDecomposition:
@@ -288,18 +288,9 @@ def sprinkling(ens: RateEnsemble, t):
     f shares its poles with the regular kernel part, with amplitudes c_j/p_j,
     plus the constant long-time level 1/<tau>; K(t) = df/dt follows.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
     decomp = kernel_decompose(ens)
-    st = stats(ens)
-    level = 1.0 / st.mean_waiting_time
-    if decomp.n_modes == 0:
-        out = np.full(t.shape, level)
-    else:
-        coeff = decomp.amplitudes / decomp.poles
-        out = level + np.exp(np.multiply.outer(t, decomp.poles)) @ coeff
-    return out if out.ndim else float(out)
+    level = 1.0 / stats(ens).mean_waiting_time
+    return level + _exp_sum(t, decomp.poles, decomp.amplitudes / decomp.poles)
 
 
 @dataclass(frozen=True)
@@ -326,22 +317,20 @@ class FractionalKernelModel:
         out = self.mean_rate / (u + self.mean_rate + b * self._sigma(u))
         return out if out.ndim else complex(out)
 
-    def p0_of_u(self, u):
-        u = np.asarray(u, dtype=complex)
-        out = (1.0 - self.w_of_u(u)) / u
-        return out if out.ndim else complex(out)
-
-    def f_of_u(self, u):
-        u = np.asarray(u, dtype=complex)
-        w = self.w_of_u(u)
-        out = w / (1.0 - w)
-        return out if out.ndim else complex(out)
-
     def kernel_of_u(self, u):
         u = np.asarray(u, dtype=complex)
         b = self.fluctuation_rate ** (1.0 - self.alpha)
         out = self.mean_rate / (1.0 + b * self._sigma(u) / u)
         return out if out.ndim else complex(out)
+
+    def series_of_u(self, u):
+        """The transforms of w, P0 = (1 - w)/u, f = w/(1 - w) and K - mean_rate, stacked.
+
+        One evaluation of w(u) serves the first three, so a single Talbot
+        inversion returns all four series.
+        """
+        w = self.w_of_u(u)
+        return np.stack([w, (1.0 - w) / u, w / (1.0 - w), self.kernel_of_u(u) - self.mean_rate])
 
 
 def fractional_model(alpha, mean_rate, fluctuation_rate, mean_waiting_time):
@@ -353,10 +342,12 @@ def fractional_model(alpha, mean_rate, fluctuation_rate, mean_waiting_time):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if fluctuation_rate <= 0 or mean_rate <= 0:
-        raise ValueError("rates must be positive")
+    if not (0 < fluctuation_rate < math.inf and 0 < mean_rate < math.inf):
+        raise ValueError("rates must be positive and finite")
+    if math.isnan(mean_waiting_time):
+        raise ValueError("mean waiting time is nan")
     amplitude = mean_rate / fluctuation_rate ** (1.0 - alpha)
-    if math.isinf(mean_waiting_time):
+    if mean_waiting_time == math.inf:
         return FractionalKernelModel(alpha, mean_rate, fluctuation_rate, 0.0, amplitude)
 
     target = mean_rate * mean_waiting_time - 1.0
@@ -385,21 +376,24 @@ def fractional_model(alpha, mean_rate, fluctuation_rate, mean_waiting_time):
     return FractionalKernelModel(alpha, mean_rate, fluctuation_rate, cutoff, amplitude)
 
 
-def talbot_invert(transform, t, nodes=TALBOT_NODES, contour_scale=2.0 * TALBOT_NODES / 5.0):
+def talbot_invert(transform, t, nodes=TALBOT_NODES):
     """Numerical inverse Laplace transform on the fixed Talbot contour.
 
-    ``transform`` must accept complex u (vectorized or scalar) and be analytic
-    to the right of the contour.  The contour scale is deliberately decoupled
-    from the node count: doubling ``nodes`` refines the quadrature on the same
-    contour and serves as the convergence self-check.  (Tying the scale to the
-    node count would make the exp(scale) round-off amplification grow with the
-    node count and destroy the check in double precision.)
+    ``transform`` maps the contour nodes, shape (n_t, nodes), to values of
+    the same shape, or to a stack of k transforms of shape (k, n_t, nodes);
+    it must be analytic to the right of the contour.  The result has shape
+    (n_t,), or (k, n_t) for a stack, with the time axis dropped for scalar t.
+    The contour scale TALBOT_SCALE is deliberately decoupled from the node
+    count: doubling ``nodes`` refines the quadrature on the same contour and
+    serves as the convergence self-check.  (Tying the scale to the node count
+    would make the exp(scale) round-off amplification grow with the node
+    count and destroy the check in double precision.)
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):
         raise ValueError("Talbot inversion requires t > 0")
     M = nodes
-    r = contour_scale
+    r = TALBOT_SCALE
     theta = np.arange(M) * np.pi / M
     cot = np.zeros(M)
     cot[1:] = 1.0 / np.tan(theta[1:])
@@ -412,11 +406,14 @@ def talbot_invert(transform, t, nodes=TALBOT_NODES, contour_scale=2.0 * TALBOT_N
     p = (scale * theta) * (cot + 1j)
     p[:, 0] = scale[:, 0]
     terms = np.exp(t_arr[:, None] * p) * shape * np.asarray(transform(p), dtype=complex)
-    bad = ~np.all(np.isfinite(terms), axis=1)
-    if np.any(bad):
-        raise FloatingPointError(f"Talbot contour overflowed at t = {t_arr[bad][0]}")
-    out = (r / (M * t_arr)) * terms.sum(axis=1).real
-    return out if np.ndim(t) else float(out[0])
+    # a time fails when any transform of a stack overflows there
+    finite = np.all(np.isfinite(terms), axis=-1).reshape(-1, t_arr.size).all(axis=0)
+    if not np.all(finite):
+        raise FloatingPointError(f"Talbot contour overflowed at t = {t_arr[~finite][0]}")
+    out = (r / (M * t_arr)) * terms.sum(axis=-1).real
+    if not np.ndim(t):
+        out = out[..., 0]
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -454,14 +451,12 @@ def fit_power_law(t, values, window):
     return PowerLawFit(float(slope), float(intercept), float(r2), int(mask.sum()), (lo, hi))
 
 
-def default_power_law_window(ens: RateEnsemble, t_max=None):
-    """[5/<gamma>, 1/gamma_min] over the positive rates, clipped to t_max when given."""
+def default_power_law_window(ens: RateEnsemble):
+    """[5/<gamma>, 1/gamma_min] over the positive rates."""
     st = stats(ens)
     lo = 5.0 / st.mean_rate
     # a zero rate never fires and adds nothing to w(t)
     hi = 1.0 / float(np.min(ens.rates[ens.rates > 0]))
-    if t_max is not None:
-        hi = min(hi, t_max)
     if hi <= lo:
         # degenerate for narrow ensembles; fall back to a decade past the mean
         lo, hi = 1.0 / st.mean_rate, 20.0 / st.mean_rate

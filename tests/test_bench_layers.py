@@ -3,7 +3,7 @@
 ``bench/layers.py`` wraps package functions by name and binds their arguments
 by parameter name.  A rename there reads as an absent layer whose metrics are
 zero, not as an error, so this guard runs one traced ``evolve`` per route and
-one traced ``cpcheck``.
+one traced ``cpcheck`` and one traced ``kernel`` per ensemble kind.
 """
 
 import os
@@ -43,6 +43,14 @@ ensemble.n = 20
 grid.steps = 40
 solver.methods = ensemble,volterra
 """
+FRACTIONAL_KERNEL_CFG = """\
+ensemble.type = fractional
+ensemble.alpha = 0.5
+ensemble.mean_rate = 1.0
+ensemble.beta = 1.3
+ensemble.tau = 12.0
+grid.steps = 40
+"""
 
 
 def traced(command, cfg_text, tmp_path):
@@ -70,3 +78,18 @@ def test_tracer_sees_cpcheck_layers(tmp_path):
     assert tracer.absent == []
     assert tracer.counts["dynamics.volterra_sweep.calls"] == 1
     assert tracer.counts["volterra_mode_steps"] > 0 and tracer.counts["choi_maps"] == 2 * 41
+
+
+def test_manifold_kernel_decomposes_twice(tmp_path):
+    # once for the kernel modes, once inside the one sprinkling call for f(0) and f(t)
+    tracer = traced("kernel", MANIFOLD_CPCHECK_CFG, tmp_path)
+    assert tracer.absent == []
+    assert tracer.counts["ratebath.kernel_decompose.calls"] == 2
+
+
+def test_fractional_kernel_inverts_once(tmp_path):
+    # w, P0, f and K - <gamma> on one contour: a (4, n_t) result
+    tracer = traced("kernel", FRACTIONAL_KERNEL_CFG, tmp_path)
+    assert tracer.absent == []
+    assert tracer.counts["ratebath.talbot_invert.calls"] == 1
+    assert tracer.counts["talbot_points"] == 4 * 40

@@ -42,6 +42,8 @@ H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
                     "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
 
 FITPOW_WINDOW_CFG = "fitpow.window_lo = {}\nfitpow.window_hi = {}\n"
+FRACTIONAL_CFG = ("ensemble.type = fractional\nensemble.alpha = 0.5\n"
+                  "ensemble.mean_rate = {}\nensemble.beta = 1.0\nensemble.tau = {}\n")
 
 STEPS_READERS = ("kernel", "evolve", "cpcheck")
 T_MAX_READERS = ("kernel", "evolve", "correlate", "cpcheck")
@@ -80,6 +82,18 @@ HOSTILE = {
     "window_lo_above_hi": (P_UP_CFG.format(0.5) + FITPOW_WINDOW_CFG.format(50, 5), {"fitpow": 2}),
     "window_lo_nan": (P_UP_CFG.format(0.5) + "fitpow.window_lo = nan\n", {"fitpow": 2}),
     "fitpow_points_2": (P_UP_CFG.format(0.5) + "fitpow.points = 2\n", {"fitpow": 2}),
+    # ensemble parameters are finite; only ensemble.tau = inf, the pure power law, is not
+    "manifold_a_nan": (MANIFOLD_ABN_CFG.format("nan", 0.4, 5), dict.fromkeys(COMMANDS, 2)),
+    "manifold_b_inf": (MANIFOLD_ABN_CFG.format(0.3, "inf", 5), dict.fromkeys(COMMANDS, 2)),
+    "rates_nan": (CUSTOM_RATES_CFG.format("nan,1"), dict.fromkeys(COMMANDS, 2)),
+    "gamma_up_inf": (P_UP_CFG.format(0.5) + "ensemble.gamma_up = inf\n",
+                     dict.fromkeys(COMMANDS, 2)),
+    "fractional_mean_rate_nan": (FRACTIONAL_CFG.format("nan", 5.0), dict.fromkeys(COMMANDS, 2)),
+    "fractional_tau_nan": (FRACTIONAL_CFG.format(1.0, "nan"), dict.fromkeys(COMMANDS, 2)),
+    "fractional_tau_minus_inf": (FRACTIONAL_CFG.format(1.0, "-inf"), dict.fromkeys(COMMANDS, 2)),
+    "fractional_tau_inf": (FRACTIONAL_CFG.format(1.0, "inf"),
+                           {"kernel": 0, "fitpow": 0, "evolve": 2, "correlate": 2,
+                            "cpcheck": 2}),
 }
 
 
@@ -204,6 +218,21 @@ class TestConfigParsing:
         cfg = cfgmod.resolve({"ensemble.type": "two_state"})
         lo, hi, t = cfgmod.fit_grid(cfg, (1.0, 20.0))
         assert (lo, hi) == (1.0, 20.0) and np.array_equal(t, np.geomspace(1.0, 20.0, 200))
+
+    @pytest.mark.parametrize("text,key", [
+        (MANIFOLD_ABN_CFG.format("nan", 0.4, 5), "ensemble.a"),
+        (MANIFOLD_ABN_CFG.format(0.3, "inf", 5), "ensemble.b"),
+        (CUSTOM_RATES_CFG.format("nan,1"), "ensemble.rates"),
+        (CUSTOM_RATES_CFG.format("1,x"), "ensemble.rates"),
+        (P_UP_CFG.format(0.5) + "ensemble.gamma_up = inf\n", "ensemble.gamma_up"),
+        (FRACTIONAL_CFG.format("nan", 5.0), "ensemble.mean_rate"),
+        (FRACTIONAL_CFG.format(1.0, "-inf"), "ensemble.tau"),
+    ], ids=["a_nan", "b_inf", "rates_nan", "rates_x", "gamma_up_inf", "mean_rate_nan",
+            "tau_minus_inf"])
+    def test_ensemble_fields_name_their_key(self, text, key):
+        cfg = cfgmod.resolve(cfgmod.parse_config(text))
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            cfgmod.build_ensemble(cfg)
 
     def test_solver_methods_parse(self):
         cfg = cfgmod.resolve({"ensemble.type": "two_state", "solver.methods": ""})

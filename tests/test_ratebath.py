@@ -122,6 +122,26 @@ class TestEnsembleConstruction:
         st = rb.stats(rb.rate_ensemble([1.0, 0.0], [0.5, 0.5]))
         assert math.isinf(st.mean_waiting_time)
 
+    @pytest.mark.parametrize("build", [
+        lambda: rb.rate_ensemble([math.nan, 1.0], [0.5, 0.5]),
+        lambda: rb.rate_ensemble([math.inf, 1.0], [0.5, 0.5]),
+        lambda: rb.rate_ensemble([2.0, 1.0], [math.nan, 0.5]),
+        lambda: rb.manifold_ensemble(1.0, math.nan, 0.4, 5),
+        lambda: rb.manifold_ensemble(1.0, 0.3, math.inf, 5),
+        lambda: rb.manifold_ensemble(math.inf, 0.3, 0.4, 5),
+        lambda: rb.two_state_ensemble(0.5, math.inf, 1.0),
+        lambda: rb.two_state_ensemble(0.5, 2.0, math.nan),
+        lambda: rb.fractional_model(0.5, math.nan, 1.0, 5.0),
+        lambda: rb.fractional_model(0.5, 1.0, math.inf, 5.0),
+        lambda: rb.fractional_model(0.5, 1.0, 1.0, math.nan),
+        lambda: rb.fractional_model(0.5, 1.0, 1.0, -math.inf),
+    ], ids=["rate_nan", "rate_inf", "weight_nan", "manifold_a_nan", "manifold_b_inf",
+            "manifold_gamma_inf", "gamma_up_inf", "gamma_down_nan", "mean_rate_nan",
+            "beta_inf", "tau_nan", "tau_minus_inf"])
+    def test_non_finite_parameters_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_duplicate_rates_merge(self):
         ens = rb.rate_ensemble([1.0, 1.0 + 1e-12, 2.0], [0.3, 0.3, 0.4])
         assert ens.n == 2
@@ -216,6 +236,23 @@ class TestKernelDecomposition:
         dec = rb.kernel_decompose(rb.single_rate_ensemble(0.9))
         assert dec.n_modes == 0
         assert math.isclose(dec.markov_weight, 0.9)
+        # with no modes every sum is empty
+        t = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(dec.regular_part(t), np.zeros(7))
+        assert dec.regular_part(1.0) == 0.0 and isinstance(dec.regular_part(1.0), float)
+        assert dec.of_u(2.0) == 0.9 and isinstance(dec.of_u(2.0), complex)
+        assert np.array_equal(dec.of_u(np.array([1.0, 2.0j])), [0.9, 0.9])
+        with pytest.raises(ValueError, match="nonnegative"):
+            dec.regular_part(-1.0)
+
+    def test_of_u_sums_every_mode(self):
+        dec = rb.kernel_decompose(rb.manifold_ensemble(1.0, 0.3, 0.4, 8))
+        u = np.array([[0.5, 1.0 + 2.0j], [3.0, 10.0j]])
+        direct = dec.markov_weight + sum(c / (u - p) for c, p in zip(dec.amplitudes, dec.poles))
+        got = dec.of_u(u)
+        assert got.shape == u.shape
+        assert np.max(np.abs(got - direct) / np.abs(direct)) < 1e-14
+        assert dec.of_u(0.5) == pytest.approx(direct[0, 0], rel=1e-14)
 
     def test_two_state_mode(self):
         dec = rb.kernel_decompose(rb.two_state_ensemble(0.5, 2.0, 1.0))
@@ -411,6 +448,45 @@ class TestTalbot:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             rb.talbot_invert(lambda u: 1.0 / u, 0.0)
+
+    @pytest.mark.parametrize("tau", [12.0, math.inf])
+    def test_stack_equals_per_row_calls(self, tau):
+        model = rb.fractional_model(0.4, 1.0, 1.3, tau)
+        rows = (
+            model.w_of_u,
+            lambda u: (1.0 - model.w_of_u(u)) / u,
+            lambda u: model.w_of_u(u) / (1.0 - model.w_of_u(u)),
+            lambda u: model.kernel_of_u(u) - model.mean_rate,
+        )
+        t = np.linspace(0.05, 20.0, 37)
+        stacked = rb.talbot_invert(model.series_of_u, t)
+        assert stacked.shape == (4, t.size)
+        for k, row in enumerate(rows):
+            assert np.array_equal(stacked[k], rb.talbot_invert(row, t)), k
+        at_one = rb.talbot_invert(model.series_of_u, t[5])
+        assert at_one.shape == (4,) and np.array_equal(at_one, stacked[:, 5])
+
+    def test_scalar_time_returns_scalar(self):
+        got = rb.talbot_invert(lambda u: 1.0 / (u + 1.0), 2.0)
+        assert isinstance(got, float)
+        assert got == rb.talbot_invert(lambda u: 1.0 / (u + 1.0), np.array([2.0]))[0]
+
+    def test_stack_names_the_time_a_row_overflows(self):
+        def good(u):
+            return 1.0 / (u + 1.0)
+
+        def bad(u):
+            # infinite on the nodes of t = 0.05, whose contour reaches u = 256
+            return np.where(u.real > 100.0, np.inf, good(u))
+
+        t = np.array([2.0, 0.05, 1.0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError) as per_row:
+                rb.talbot_invert(bad, t)
+            with pytest.raises(FloatingPointError) as stacked:
+                rb.talbot_invert(lambda u: np.stack([good(u), bad(u)]), t)
+        assert "t = 0.05" in str(per_row.value)
+        assert str(stacked.value) == str(per_row.value)
 
 
 class TestPowerLawFit:
