@@ -12,18 +12,15 @@ from .qops import (
     SIGMA_Z,
     IDENTITY_2,
     vectorize,
-    devectorize,
     hamiltonian_liouvillian,
     lindblad_dissipator,
     jump_superoperator,
-    resolvent,
     choi_matrix,
     choi_min_eigenvalue,
 )
 from .ratebath import (
     RateEnsemble,
     rate_ensemble,
-    single_rate_ensemble,
     two_state_ensemble,
     manifold_ensemble,
     stats,
@@ -46,13 +43,11 @@ from .dynamics import (
     dephasing_model,
     evolve_ensemble,
     evolve_volterra,
-    exact_memory_superop,
     mc_trajectories,
     time_grid,
 )
 from .qrt import (
     pauli_basis,
-    observable_propagator,
     two_time_correlation,
     qrt_residual,
     CorrelationSurface,

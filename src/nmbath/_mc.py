@@ -48,6 +48,7 @@ def _stream_init(seed, n):
 
 
 def _assemble(n, rounds_idx, rounds_t):
+    """(flat event times, offsets) from the rounds: round r holds the r-th event of its trajectories."""
     counts = np.zeros(n, dtype=np.int64)
     for idx in rounds_idx:
         counts[idx] += 1
@@ -59,68 +60,57 @@ def _assemble(n, rounds_idx, rounds_t):
     return times, offsets
 
 
-def sample_frozen_events(seed, n, t_max, rates, weights):
-    """Poisson event times at a per-trajectory rate drawn once from the ensemble.
+def _sample_events(seed, n, t_max, rates, weights, renewal):
+    """Event times of n trajectories, each wait exponential at a rate drawn from the ensemble.
 
-    Returns (flat event times, offsets).
-    """
-    state = _stream_init(seed, n)
-    state, u = _mix(state)
-    cum = np.cumsum(weights)
-    comp = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
-    gam = rates[comp]
-
-    cur = np.zeros(n)
-    alive = np.nonzero(gam > 0)[0]
-    rounds_idx, rounds_t = [], []
-    max_rounds = int(1000 + 20.0 * t_max * max(float(np.max(rates)), 1.0))
-    for _ in range(max_rounds):
-        if alive.size == 0:
-            break
-        state_a, u = _mix(state[alive])
-        state[alive] = state_a
-        cur[alive] += -np.log(u) / gam[alive]
-        still = cur[alive] <= t_max
-        keep = alive[still]
-        rounds_idx.append(keep)
-        rounds_t.append(cur[keep])
-        alive = keep
-    else:
-        raise RuntimeError("frozen-rate event sampling did not terminate")
-    return _assemble(n, rounds_idx, rounds_t)
-
-
-def sample_renewal_events(seed, n, t_max, rates, weights):
-    """I.i.d. waiting times from the ensemble mixture density.
-
-    Each event draws a fresh component (probability P_R) and an exponential
-    interval at that component's rate.
+    The rate (component R with probability P_R) is drawn once per trajectory,
+    or afresh before every event when ``renewal``.  Round r draws the r-th
+    event of every trajectory still inside [0, t_max].  Returns (flat event
+    times, offsets): the events of trajectory i are times[offsets[i]:offsets[i+1]].
     """
     state = _stream_init(seed, n)
     cum = np.cumsum(weights)
+
+    def pick(u):
+        return rates[np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)]
+
+    if not renewal:
+        state, u = _mix(state)
+        frozen = pick(u)
     cur = np.zeros(n)
     alive = np.arange(n)
     rounds_idx, rounds_t = [], []
     max_rounds = int(1000 + 20.0 * t_max * max(float(np.max(rates)), 1.0))
-    for _ in range(max_rounds):
-        if alive.size == 0:
-            break
-        state_a, u1 = _mix(state[alive])
-        state_a, u2 = _mix(state_a)
-        state[alive] = state_a
-        comp = np.minimum(np.searchsorted(cum, u1, side="right"), len(weights) - 1)
-        gam = rates[comp]
-        with np.errstate(divide="ignore"):
-            wait = np.where(gam > 0, -np.log(u2) / np.maximum(gam, 1e-300), np.inf)
-        cur[alive] += wait
-        still = cur[alive] <= t_max
-        keep = alive[still]
-        rounds_idx.append(keep)
-        rounds_t.append(cur[keep])
-        alive = keep
-    else:
-        raise RuntimeError("renewal event sampling did not terminate")
+    # a zero rate waits forever, which ends its trajectory; so does a rate so
+    # small that its wait overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(max_rounds):
+            if alive.size == 0:
+                break
+            s = state[alive]
+            if renewal:
+                s, u = _mix(s)
+                gam = pick(u)
+            else:
+                gam = frozen[alive]
+            state[alive], u = _mix(s)
+            cur[alive] += -np.log(u) / gam
+            alive = alive[cur[alive] <= t_max]
+            rounds_idx.append(alive)
+            rounds_t.append(cur[alive])
+        else:
+            raise RuntimeError("event sampling did not terminate")
     return _assemble(n, rounds_idx, rounds_t)
+
+
+def sample_frozen_events(seed, n, t_max, rates, weights):
+    """Poisson event times at a per-trajectory rate drawn once from the ensemble."""
+    return _sample_events(seed, n, t_max, rates, weights, renewal=False)
+
+
+def sample_renewal_events(seed, n, t_max, rates, weights):
+    """I.i.d. waiting times from the ensemble mixture density: a fresh rate per event."""
+    return _sample_events(seed, n, t_max, rates, weights, renewal=True)
 
 
 def _count_histogram_sums(cols, tgrid, ev_times, ev_off):

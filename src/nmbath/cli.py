@@ -22,6 +22,7 @@ from .config import ConfigError
 from .dynamics import (
     MCConfig,
     SolverError,
+    event_map,
     evolve_ensemble,
     evolve_volterra,
     ensemble_propagator_series,
@@ -209,6 +210,12 @@ def cmd_evolve(args):
         print("warning: solver.methods is empty; nothing to do", file=sys.stderr)
         return 0
     model = cfgmod.build_model(cfg)
+    if any(m.startswith("mc_") for m in methods):
+        try:
+            event_map(model)
+        except ValueError as exc:
+            raise ConfigError(f"key 'model.jump_matrices': {exc}; "
+                              "the mc_* solvers need sum V^dag V = I") from None
     rho0 = _initial_state(model)
     tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), cfgmod.count(cfg, "grid.steps"))
     seed = cfgmod.seed(cfg)
@@ -258,6 +265,9 @@ def cmd_correlate(args):
     if model.dim != 2:
         raise SolverError("correlate currently supports two-level systems")
     S = cfgmod.build_operator(cfg, "correlate.s_operator", "correlate.s_matrix")
+    if S.shape != (model.dim, model.dim):
+        raise ConfigError(f"key 'correlate.s_matrix': S is {S.shape[0]}x{S.shape[0]} "
+                          f"but the model is {model.dim}x{model.dim}")
     basis = qrt.pauli_basis()
     rho0 = _initial_state(model)
     tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble),

@@ -125,12 +125,6 @@ def resolve(raw):
     return {k: v for k, v in cfg.items() if k in recognized}
 
 
-def normalize(cfg):
-    """Emit the resolved configuration as canonical sorted text."""
-    lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
-    return "\n".join(lines) + "\n"
-
-
 def _get_float(cfg, key):
     try:
         value = cfg[key]
@@ -206,6 +200,8 @@ def _parse_matrix(text, key):
         raise ConfigError(f"key {key!r}: cannot parse matrix {text!r}: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"key {key!r}: matrix must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"key {key!r}: matrix {text!r} has a non-finite entry")
     return mat
 
 
@@ -274,7 +270,10 @@ def build_model(cfg):
     if ham_name == "zero":
         hamiltonian = np.zeros((2, 2), dtype=complex)
     elif ham_name == "sigma_z":
-        hamiltonian = 0.5 * _get_float(cfg, "model.omega") * qops.SIGMA_Z
+        omega = _get_float(cfg, "model.omega")
+        if not math.isfinite(omega):
+            raise ConfigError(f"key 'model.omega': {cfg['model.omega']!r} is not finite")
+        hamiltonian = 0.5 * omega * qops.SIGMA_Z
     elif ham_name == "matrix":
         if "model.h_matrix" not in cfg:
             raise ConfigError("model.hamiltonian = matrix requires model.h_matrix")

@@ -192,7 +192,7 @@ def ensemble_propagator_series(model: ModelSpec, tgrid):
     return rate_stack(model).average(tgrid, np.eye(model.dim ** 2)[None])
 
 
-def _embedding_step_map(model, kernel, h):
+def _embedding_step_map(L, L_H, kernel, h, sets):
     """Phi = expm(h G) for the generator G of the Markovian embedding y = (x, m_1..m_n).
 
     The memory variables m_j(t) = int_0^t c_j exp((t-s)(p_j + L_H)) L x(s) ds
@@ -201,16 +201,17 @@ def _embedding_step_map(model, kernel, h):
         x'   = (L_H + kappa L) x + sum_j m_j
         m_j' = c_j L x + (p_j + L_H) m_j
 
-    Phi is the Taylor series of expm(h G / 2^s), cut where its terms fall
-    below round-off and squared s times, with s chosen so that
-    |h G / 2^s|_1 <= 1.  Each term applies G block by block, which costs
-    O(n d^4) per column where a dense product costs O(n^2 d^4).
-    scipy.linalg.expm is avoided: its LAPACK solve wakes OpenBLAS worker
-    threads, even for 8x8 matrices, and they keep a second core spinning
-    after the call returns.
+    ``sets`` is a (sets, k) array of coupled sets of components (see
+    :func:`_coupled_sets`); the result is one map (sets, S, S), S = k (n+1),
+    for y restricted to each set.  Phi is the Taylor series of
+    expm(h G / 2^s), cut where its terms fall below round-off and squared
+    s times, with s chosen so that |h G / 2^s|_1 <= 1.  The 1-norms are those
+    of the whole L and L_H, so s and the cut do not depend on the split.
+    Each term applies G block by block, which costs O(n k^2) per column where
+    a dense product costs O(n^2 k^2).  scipy.linalg.expm is avoided: its
+    LAPACK solve wakes OpenBLAS worker threads, even for 8x8 matrices, and
+    they keep a second core spinning after the call returns.
     """
-    L = dissipator(model)
-    L_H = coherent_liouvillian(model)
     A = L_H + kernel.markov_weight * L
     c = np.reshape(kernel.amplitudes, (-1, 1, 1))
     p = np.reshape(kernel.poles, (-1, 1, 1))
@@ -219,35 +220,39 @@ def _embedding_step_map(model, kernel, h):
                    1.0 + np.abs(p).max(initial=0.0) + np.linalg.norm(L_H, 1))
     squarings = max(0, int(np.frexp(norm)[1]))
     scale = 2.0 ** -squarings
-    D = L.shape[0]
-    size = D * (kernel.n_modes + 1)
-    term = np.eye(size, dtype=complex).reshape(-1, D, size)
+    block = sets[:, :, None], sets[:, None]
+    A, L, L_H = A[block], L[block], L_H[block]
+    count, k = sets.shape
+    size = k * (kernel.n_modes + 1)
+    term = np.tile(np.eye(size, dtype=complex).reshape(-1, k, size), (count, 1, 1, 1))
     phi = term.copy()
     bound = 1.0  # on |term|_1
-    for k in range(1, TAYLOR_DEGREE + 1):
-        x, m = term[0], term[1:]
-        term = np.concatenate([(A @ x + m.sum(axis=0))[None], c * (L @ x) + p * m + L_H @ m])
-        term *= h * scale / k
+    for j in range(1, TAYLOR_DEGREE + 1):
+        x, m = term[:, 0], term[:, 1:]
+        term = np.concatenate([(A @ x + m.sum(axis=1))[:, None],
+                               c * (L @ x)[:, None] + p * m + L_H[:, None] @ m], axis=1)
+        term *= h * scale / j
         phi += term
-        bound *= norm * scale / k
+        bound *= norm * scale / j
         if bound < np.finfo(float).eps:
             break
-    phi = phi.reshape(size, size)
+    phi = phi.reshape(count, size, size)
     for _ in range(squarings):
         phi = phi @ phi
     return phi
 
 
-def _coupled_sets(phi, D):
-    """The sets of components of x that Phi couples, directly or through one another.
+def _coupled_sets(L, L_H):
+    """The sets of components of x that L or L_H couple, directly or through one another.
 
-    y = (x, m_1..m_n) stacks D components per block.  Components in different
-    sets never mix, so each set evolves under its own block of Phi; under
-    dephasing every component is a set of its own.  Sets of one size are
-    stacked: the result is one (sets, size) index array per size.
+    The embedding G mixes two components only through an entry of L or L_H,
+    so components in different sets never mix, and each set evolves under
+    its own step map; under dephasing every component is a set of its own.
+    Sets of one size are stacked: the result is one (sets, size) index array
+    per size.
     """
-    blocks = phi.shape[0] // D
-    reach = (phi.reshape(blocks, D, blocks, D) != 0).any(axis=(0, 2))
+    D = L.shape[0]
+    reach = (L != 0) | (L_H != 0)
     reach |= reach.T | np.eye(D, dtype=bool)
     for _ in range(D.bit_length()):
         reach = reach @ reach
@@ -292,18 +297,17 @@ def _block_powers(phi, x0, nt):
 def _volterra_run(model, x0, tgrid, kernel):
     """x_k = P Phi^k (x0, 0) at every grid time; ``x0`` is a state (d^2,) or a map (d^2, d^2).
 
-    Each coupled set of components runs on its own block of Phi.
+    Each coupled set of components runs on its own step map.
     """
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("Volterra integration must start at t = 0")
-    phi = _embedding_step_map(model, kernel, h)
-    D, nt = x0.shape[0], tgrid.size - 1
-    offsets = D * np.arange(phi.shape[0] // D)[:, None]
+    L, L_H = dissipator(model), coherent_liouvillian(model)
+    nt = tgrid.size - 1
     out = np.empty((nt + 1,) + x0.shape, dtype=complex)
-    for group in _coupled_sets(phi, D):
-        idx = (offsets + group[:, None]).reshape(len(group), -1)
-        out[:, group] = _block_powers(phi[idx[:, :, None], idx[:, None]], x0[group], nt)
+    for group in _coupled_sets(L, L_H):
+        phi = _embedding_step_map(L, L_H, kernel, h, group)
+        out[:, group] = _block_powers(phi, x0[group], nt)
     if not np.all(np.isfinite(out)):
         raise SolverError("Volterra solution is not finite; the kernel has a growing mode")
     return tgrid, out
@@ -334,31 +338,6 @@ def volterra_propagator_series(model: ModelSpec, tgrid, kernel=None):
     x0 = np.eye(dsq, dtype=complex)
     _, maps = _volterra_run(model, x0, tgrid, kernel)
     return maps
-
-
-def exact_memory_superop(model: ModelSpec, u):
-    """Memory superoperator in the Laplace domain.
-
-    Solves <G_R(u)> LL(u) = <G_R(u) L_R> for LL(u), with G_R the fixed-rate
-    resolvent.  For a single rate this is gamma * L independent of u.
-    """
-    L = dissipator(model)
-    avg = np.zeros_like(L)
-    avg_rate = np.zeros_like(L)
-    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        G = qops.resolvent(generator(model, rate), u)
-        avg += weight * G
-        avg_rate += weight * (G @ (rate * L))
-    try:
-        out = np.linalg.solve(avg, avg_rate)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"average resolvent is singular at u = {u}") from exc
-    resid = np.max(np.abs(avg @ out - avg_rate))
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(avg_rate)))):
-        raise SolverError(
-            f"memory superoperator solve at u = {u} left residual {resid:.3e}"
-        )
-    return out
 
 
 def _unitary_factorization(model):

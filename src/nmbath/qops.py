@@ -42,16 +42,6 @@ def vectorize(op):
     return op.reshape(-1, order="F")
 
 
-def devectorize(vec, dim=None):
-    """Invert :func:`vectorize`. ``dim`` is inferred when omitted."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
-        raise ValueError(f"vector of length {vec.size} is not a stacked {dim}x{dim} matrix")
-    return vec.reshape(dim, dim, order="F")
-
-
 def require_hermitian(op, what="operator"):
     op = np.asarray(op)
     defect = np.max(np.abs(op - op.conj().T))
@@ -199,23 +189,6 @@ class _RateStack:
 def generator_factorization(gens, weights):
     """The :class:`_RateStack` of generators ``gens`` (R, D, D) with weights P_R."""
     return _RateStack(gens, weights)
-
-
-def resolvent(gen, u):
-    """(u*I - gen)^-1, defined off the spectrum of gen."""
-    gen = np.asarray(gen, dtype=complex)
-    n = gen.shape[0]
-    A = u * np.eye(n) - gen
-    try:
-        out = np.linalg.solve(A, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"u = {u} lies on the spectrum of the generator") from exc
-    residual = np.max(np.abs(A @ out - np.eye(n)))
-    if residual > 1e-9:
-        raise ValueError(
-            f"resolvent at u = {u} is numerically singular (residual {residual:.3e})"
-        )
-    return out
 
 
 def choi_matrix(superop):

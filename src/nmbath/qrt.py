@@ -51,15 +51,6 @@ def _observable_propagator(stack, basis, taugrid):
     return T @ stack.average(taugrid, (cols @ gram_inv)[None])
 
 
-def observable_propagator(model: ModelSpec, basis, taugrid):
-    """Matrix G(tau) with <A(tau)> = G(tau) <A(0)> for any initial state.
-
-    Shape (len(taugrid), k, k).  This is the deterministic propagator whose
-    generator is the (implicit) memory matrix of the one-time evolution.
-    """
-    return _observable_propagator(rate_stack(model), basis, np.asarray(taugrid, dtype=float))
-
-
 def _correlation(stack, rho0, S, basis, t, tau):
     """sum_R P_R T exp(G_R tau) R_S exp(G_R t) v0 with R_S = S^T (x) I, the map rho -> rho S.
 

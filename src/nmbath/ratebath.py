@@ -91,10 +91,6 @@ def rate_ensemble(rates, weights, alpha=None):
     return RateEnsemble(np.array(merged_r), np.array(merged_w), alpha)
 
 
-def single_rate_ensemble(rate):
-    return rate_ensemble([rate], [1.0])
-
-
 def two_state_ensemble(p_up, gamma_up, gamma_down):
     """Two-level environment with occupation p_up of the fast state."""
     if not 0.0 <= p_up <= 1.0:
@@ -181,25 +177,10 @@ def w_of_u(ens: RateEnsemble, u):
     return out if out.ndim else complex(out)
 
 
-def p0_of_u(ens: RateEnsemble, u):
-    """P0(u) = <1 / (u + gamma_R)> by direct summation."""
-    u = np.asarray(u, dtype=complex)
-    out = (1.0 / (u[..., None] + ens.rates)) @ ens.weights
-    return out if out.ndim else complex(out)
-
-
-def f_of_u(ens: RateEnsemble, u):
-    """f(u) = w(u) / [1 - w(u)] by direct summation."""
-    u = np.asarray(u, dtype=complex)
-    w = w_of_u(ens, u)
-    out = w / (1.0 - w)
-    return out if np.ndim(out) else complex(out)
-
-
 def kernel_of_u(ens: RateEnsemble, u):
-    """K(u) = w(u) / P0(u) by direct summation."""
+    """K(u) = w(u) / P0(u), P0(u) = <1 / (u + gamma_R)>, by direct summation."""
     u = np.asarray(u, dtype=complex)
-    out = w_of_u(ens, u) / p0_of_u(ens, u)
+    out = w_of_u(ens, u) / ((1.0 / (u[..., None] + ens.rates)) @ ens.weights)
     return out if np.ndim(out) else complex(out)
 
 

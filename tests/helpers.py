@@ -2,14 +2,97 @@
 
 They evaluate each fixed-rate propagator densely with scipy.linalg.expm, so
 they stay independent of the rate-stack eigendecomposition the package uses.
+The Laplace-domain memory superoperator, the resolvent and the small
+conveniences below are the test suite's own: no command runs them.
 """
 
 import numpy as np
 import scipy.linalg
 
 from nmbath import _mc, dynamics, qops, qrt
-from nmbath.qops import SIGMA_Z, devectorize, vectorize
-from nmbath.ratebath import survival
+from nmbath.qops import SIGMA_Z, vectorize
+from nmbath.ratebath import rate_ensemble, survival, w_of_u
+
+
+def single_rate_ensemble(rate):
+    return rate_ensemble([rate], [1.0])
+
+
+def devectorize(vec, dim=None):
+    """Invert :func:`nmbath.qops.vectorize`. ``dim`` is inferred when omitted."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    if dim is None:
+        dim = int(round(np.sqrt(vec.size)))
+    if dim * dim != vec.size:
+        raise ValueError(f"vector of length {vec.size} is not a stacked {dim}x{dim} matrix")
+    return vec.reshape(dim, dim, order="F")
+
+
+def normalize(cfg):
+    """A resolved configuration as canonical sorted text."""
+    lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
+    return "\n".join(lines) + "\n"
+
+
+def p0_of_u(ens, u):
+    """P0(u) = <1 / (u + gamma_R)> by direct summation."""
+    u = np.asarray(u, dtype=complex)
+    out = (1.0 / (u[..., None] + ens.rates)) @ ens.weights
+    return out if out.ndim else complex(out)
+
+
+def f_of_u(ens, u):
+    """f(u) = w(u) / [1 - w(u)] by direct summation."""
+    w = w_of_u(ens, u)
+    return w / (1.0 - w)
+
+
+def resolvent(gen, u):
+    """(u*I - gen)^-1, defined off the spectrum of gen."""
+    gen = np.asarray(gen, dtype=complex)
+    n = gen.shape[0]
+    A = u * np.eye(n) - gen
+    try:
+        out = np.linalg.solve(A, np.eye(n, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"u = {u} lies on the spectrum of the generator") from exc
+    residual = np.max(np.abs(A @ out - np.eye(n)))
+    if residual > 1e-9:
+        raise ValueError(
+            f"resolvent at u = {u} is numerically singular (residual {residual:.3e})"
+        )
+    return out
+
+
+def exact_memory_superop(model, u):
+    """Memory superoperator in the Laplace domain.
+
+    Solves <G_R(u)> LL(u) = <G_R(u) L_R> for LL(u), with G_R the fixed-rate
+    resolvent.  For a single rate this is gamma * L independent of u.
+    """
+    L = dynamics.dissipator(model)
+    avg = np.zeros_like(L)
+    avg_rate = np.zeros_like(L)
+    for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
+        G = resolvent(dynamics.generator(model, rate), u)
+        avg += weight * G
+        avg_rate += weight * (G @ (rate * L))
+    try:
+        out = np.linalg.solve(avg, avg_rate)
+    except np.linalg.LinAlgError as exc:
+        raise dynamics.SolverError(f"average resolvent is singular at u = {u}") from exc
+    resid = np.max(np.abs(avg @ out - avg_rate))
+    if resid > 1e-9 * max(1.0, float(np.max(np.abs(avg_rate)))):
+        raise dynamics.SolverError(
+            f"memory superoperator solve at u = {u} left residual {resid:.3e}"
+        )
+    return out
+
+
+def observable_propagator(model, basis, taugrid):
+    """Matrix G(tau) with <A(tau)> = G(tau) <A(0)> for any initial state, shape (n_tau, k, k)."""
+    return qrt._observable_propagator(dynamics.rate_stack(model), basis,
+                                      np.asarray(taugrid, dtype=float))
 
 
 def propagate(gen, t):
@@ -66,7 +149,7 @@ def expectation_series(model, rho0, basis, tgrid):
 def qrt_prediction(model, rho0, S, basis, t, taugrid):
     """Regression-rule prediction: G(tau) applied to the measured tau=0 value."""
     anchor = qrt.two_time_correlation(model, rho0, S, basis, t, 0.0)
-    G = qrt.observable_propagator(model, basis, np.asarray(taugrid, dtype=float))
+    G = observable_propagator(model, basis, taugrid)
     return np.einsum("tmn,n->mt", G, anchor)
 
 
@@ -144,10 +227,16 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
     return _mc._mean_stderr(total, total_sq, len(off) - 1)
 
 
+def unsplit_step_map(model, kernel, h):
+    """The step map of the whole embedding, every component of x in one set."""
+    L, L_H = dynamics.dissipator(model), dynamics.coherent_liouvillian(model)
+    return dynamics._embedding_step_map(L, L_H, kernel, h, np.arange(L.shape[0])[None])[0]
+
+
 def volterra_stepped(model, x0, tgrid, kernel):
-    """x_k = P Phi^k y0 by the plain loop y <- Phi y, one grid step at a time."""
+    """x_k = P Phi^k y0 by the plain loop y <- Phi y on the unsplit step map."""
     tgrid, h = dynamics._check_grid(tgrid)
-    phi = dynamics._embedding_step_map(model, kernel, h)
+    phi = unsplit_step_map(model, kernel, h)
     D = x0.shape[0]
     y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
     y[:D] = x0

@@ -13,6 +13,7 @@ import nmbath as nm
 from nmbath import cli, dynamics, qops, qrt, ratebath
 from nmbath.qops import IDENTITY_2, SIGMA_Y, SIGMA_Z
 
+from helpers import exact_memory_superop, f_of_u, p0_of_u, single_rate_ensemble
 from test_ratebath import renewal_equation_oracle
 
 RHO_Y = 0.5 * (IDENTITY_2 + SIGMA_Y)
@@ -103,7 +104,7 @@ def test_criterion_04_kernel_algebra():
         ens = random_ensemble(rng, 6)
         dec = nm.kernel_decompose(ens)
         u = np.linspace(0.1, 10.0, 50) * nm.stats(ens).mean_rate
-        exact = ratebath.w_of_u(ens, u) / ratebath.p0_of_u(ens, u)
+        exact = ratebath.w_of_u(ens, u) / p0_of_u(ens, u)
         assert np.max(np.abs(dec.of_u(u) - exact)) < 1e-8
 
     for _ in range(100):
@@ -156,7 +157,7 @@ def test_criterion_07_qrt_residual():
     basis = qrt.pauli_basis()
     grid = np.linspace(0.0, 5.0, 20)
 
-    single = nm.dephasing_model(nm.single_rate_ensemble(1.5))
+    single = nm.dephasing_model(single_rate_ensemble(1.5))
     surf = qrt.qrt_residual(single, RHO_Y, SIGMA_Z, basis, grid, grid)
     assert np.max(np.abs(surf.residual)) < 1e-10
 
@@ -191,13 +192,13 @@ def test_criterion_08_exact_memory_superoperator():
         K_of_M = dec.markov_weight * np.eye(4, dtype=complex)
         for c, pole in zip(dec.amplitudes, dec.poles):
             K_of_M = K_of_M + c * np.linalg.inv(M - pole * np.eye(4))
-        assert np.max(np.abs(nm.exact_memory_superop(model, u) - K_of_M @ L)) < 1e-8
+        assert np.max(np.abs(exact_memory_superop(model, u) - K_of_M @ L)) < 1e-8
 
     gamma = 1.3
-    single = nm.dephasing_model(nm.single_rate_ensemble(gamma))
+    single = nm.dephasing_model(single_rate_ensemble(gamma))
     Ls = dynamics.dissipator(single)
     for u in (0.7, 2.0 + 1.0j):
-        assert np.max(np.abs(nm.exact_memory_superop(single, u) - gamma * Ls)) < 1e-10
+        assert np.max(np.abs(exact_memory_superop(single, u) - gamma * Ls)) < 1e-10
     report("08 exact memory superoperator")
 
 
@@ -213,12 +214,12 @@ def test_criterion_09_talbot_inversion():
 
     ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
     tf = np.linspace(0.1, 50.0 / 1.5, 50)
-    f_of_u = functools.partial(ratebath.f_of_u, ens)
-    got3 = nm.talbot_invert(f_of_u, tf)
+    f_transform = functools.partial(f_of_u, ens)
+    got3 = nm.talbot_invert(f_transform, tf)
     exact3 = nm.sprinkling(ens, tf)
     assert np.max(np.abs(got3 - exact3) / exact3) < 1e-8
 
-    for transform in (lambda u: 1.0 / (u + 1.0), f_of_u):
+    for transform in (lambda u: 1.0 / (u + 1.0), f_transform):
         a = nm.talbot_invert(transform, t2, nodes=32)
         b = nm.talbot_invert(transform, t2, nodes=64)
         assert np.max(np.abs(a - b)) < 1e-9

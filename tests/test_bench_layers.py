@@ -2,8 +2,9 @@
 
 ``bench/layers.py`` wraps package functions by name and binds their arguments
 by parameter name.  A rename there reads as an absent layer whose metrics are
-zero, not as an error, so this guard runs one traced ``evolve`` per route and
-one traced ``cpcheck`` and one traced ``kernel`` per ensemble kind.
+zero, not as an error, so this guard runs one traced ``evolve`` per route,
+one traced ``cpcheck``, ``correlate`` and ``fitpow``, and one traced ``kernel``
+per ensemble kind.
 """
 
 import os
@@ -93,3 +94,17 @@ def test_fractional_kernel_inverts_once(tmp_path):
     assert tracer.absent == []
     assert tracer.counts["ratebath.talbot_invert.calls"] == 1
     assert tracer.counts["talbot_points"] == 4 * 40
+
+
+def test_tracer_sees_correlate_layers(tmp_path):
+    tracer = traced("correlate", EVOLVE_CFG, tmp_path)
+    assert tracer.absent == []
+    assert tracer.counts["qrt.qrt_residual.calls"] == 1
+
+
+def test_tracer_sees_fitpow_layers(tmp_path):
+    # the fit reads the waiting-time density alone: no regression residual
+    tracer = traced("fitpow", MANIFOLD_CPCHECK_CFG, tmp_path)
+    assert tracer.absent == []
+    assert "qrt.qrt_residual.calls" not in tracer.counts
+    assert tracer.counts["cli.write_csv.calls"] == 1

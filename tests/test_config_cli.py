@@ -8,6 +8,8 @@ import pytest
 from nmbath import cli, config as cfgmod
 from nmbath.config import ConfigError
 
+from helpers import normalize
+
 TWO_STATE_CFG = """\
 # two-state dephasing run
 ensemble.type = two_state
@@ -42,11 +44,14 @@ H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
                     "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
 
 FITPOW_WINDOW_CFG = "fitpow.window_lo = {}\nfitpow.window_hi = {}\n"
+S_MATRIX_CFG = P_UP_CFG.format(0.5) + "correlate.s_operator = matrix\ncorrelate.s_matrix = {}\n"
+JUMP_MATRICES_CFG = P_UP_CFG.format(0.5) + "model.jumps = matrix\nmodel.jump_matrices = {}\n"
 FRACTIONAL_CFG = ("ensemble.type = fractional\nensemble.alpha = 0.5\n"
                   "ensemble.mean_rate = {}\nensemble.beta = 1.0\nensemble.tau = {}\n")
 
 STEPS_READERS = ("kernel", "evolve", "cpcheck")
 T_MAX_READERS = ("kernel", "evolve", "correlate", "cpcheck")
+MODEL_READERS = ("evolve", "correlate", "cpcheck")
 
 # hostile but parseable configs: (config, {command: required exit code}); every
 # other command may end in any documented exit code
@@ -94,6 +99,16 @@ HOSTILE = {
     "fractional_tau_inf": (FRACTIONAL_CFG.format(1.0, "inf"),
                            {"kernel": 0, "fitpow": 0, "evolve": 2, "correlate": 2,
                             "cpcheck": 2}),
+    # matrix fields: finite entries, S the model's size, normalized jumps for mc_*
+    "s_matrix_nan": (S_MATRIX_CFG.format("1,0;0,nan"), {"correlate": 2}),
+    "s_matrix_3x3": (S_MATRIX_CFG.format("1,0,0;0,1,0;0,0,1"), {"correlate": 2}),
+    "h_matrix_inf": (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
+                     "model.h_matrix = 1,0;0,inf\nmodel.picture = schroedinger\n",
+                     dict.fromkeys(MODEL_READERS, 2)),
+    "jump_matrices_nan": (JUMP_MATRICES_CFG.format("nan,0;0,1"), dict.fromkeys(MODEL_READERS, 2)),
+    "omega_nan": (P_UP_CFG.format(0.5) + "model.omega = nan\n", dict.fromkeys(MODEL_READERS, 2)),
+    "unnormalized_jumps_mc": (JUMP_MATRICES_CFG.format("0,1;0,0") + "solver.methods = mc_frozen\n",
+                              {"evolve": 2, "cpcheck": 0}),
 }
 
 
@@ -122,7 +137,7 @@ class TestConfigParsing:
 
     def test_round_trip(self):
         cfg = cfgmod.resolve(cfgmod.parse_config(TWO_STATE_CFG))
-        again = cfgmod.resolve(cfgmod.parse_config(cfgmod.normalize(cfg)))
+        again = cfgmod.resolve(cfgmod.parse_config(normalize(cfg)))
         assert cfg == again
 
     def test_line_diagnostics(self):
@@ -233,6 +248,20 @@ class TestConfigParsing:
         cfg = cfgmod.resolve(cfgmod.parse_config(text))
         with pytest.raises(ConfigError, match=f"key '{key}'"):
             cfgmod.build_ensemble(cfg)
+
+    @pytest.mark.parametrize("name,command,key", [
+        ("s_matrix_nan", "correlate", "correlate.s_matrix"),
+        ("s_matrix_3x3", "correlate", "correlate.s_matrix"),
+        ("h_matrix_inf", "evolve", "model.h_matrix"),
+        ("jump_matrices_nan", "cpcheck", "model.jump_matrices"),
+        ("omega_nan", "correlate", "model.omega"),
+        ("unnormalized_jumps_mc", "evolve", "model.jump_matrices"),
+    ])
+    def test_matrix_fields_name_their_key(self, tmp_path, capsys, name, command, key):
+        cfg = write_cfg(tmp_path, HOSTILE[name][0])
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err and err.count("\n") == 1
 
     def test_solver_methods_parse(self):
         cfg = cfgmod.resolve({"ensemble.type": "two_state", "solver.methods": ""})

@@ -7,7 +7,8 @@ import nmbath as nm
 from nmbath import _mc, cli, dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
-from helpers import (apply_superop, ensemble_propagators, propagate, trajectory_moments,
+from helpers import (apply_superop, ensemble_propagators, exact_memory_superop, propagate,
+                     single_rate_ensemble, trajectory_moments, unsplit_step_map,
                      volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
@@ -40,7 +41,7 @@ def max_z(mc, ref_states, atol=1e-8):
 class TestEvolveEnsemble:
     def test_single_rate_matches_fixed_lindblad(self):
         gamma = 1.3
-        model = nm.dephasing_model(nm.single_rate_ensemble(gamma))
+        model = nm.dephasing_model(single_rate_ensemble(gamma))
         tg = nm.time_grid(5.0, 200)
         res = nm.evolve_ensemble(model, RHO_PLUS, tg)
         gen = dynamics.generator(model, gamma)
@@ -74,7 +75,7 @@ class TestEvolveEnsemble:
         assert np.min(res.min_eigenvalue) > -1e-10
 
     def test_rejects_invalid_state(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
+        model = nm.dephasing_model(single_rate_ensemble(1.0))
         with pytest.raises(ValueError):
             nm.evolve_ensemble(model, np.diag([0.9, 0.3]), nm.time_grid(1.0, 10))
 
@@ -128,7 +129,7 @@ class TestExpmFallback:
 
 class TestEvolveVolterra:
     def test_markov_reduces_to_lindblad(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(0.9))
+        model = nm.dephasing_model(single_rate_ensemble(0.9))
         tg = nm.time_grid(8.0, 400)
         exact = nm.evolve_ensemble(model, RHO_PLUS, tg)
         vol = nm.evolve_volterra(model, RHO_PLUS, tg)
@@ -196,7 +197,7 @@ class TestEvolveVolterra:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid:RuntimeWarning")
     def test_growing_kernel_mode_refused(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
+        model = nm.dephasing_model(single_rate_ensemble(1.0))
         kernel = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
         with pytest.raises(nm.SolverError, match="not finite"):
             nm.evolve_volterra(model, RHO_PLUS, nm.time_grid(10.0, 100), kernel=kernel)
@@ -207,7 +208,7 @@ class TestEvolveVolterra:
     def test_step_map_is_expm_of_dense_generator(self, case, h):
         ensembles = {"manifold": nm.manifold_ensemble(1.0, 0.2, 0.3, 40),
                      "sigma_x": nm.rate_ensemble([1.0, 2.0], [0.5, 0.5]),
-                     "single_rate": nm.single_rate_ensemble(1.3)}
+                     "single_rate": single_rate_ensemble(1.3)}
         ens = ensembles[case]
         model = (sigma_x_model(ens) if case == "sigma_x"
                  else nm.dephasing_model(ens, omega=1.3, picture="schroedinger"))
@@ -220,7 +221,7 @@ class TestEvolveVolterra:
             [np.kron(kernel.amplitudes[:, None], L),
              np.kron(np.diag(kernel.poles), eye) + np.kron(np.eye(n), L_H)]])
         ref = scipy.linalg.expm(h * gen)
-        phi = dynamics._embedding_step_map(model, kernel, h)
+        phi = unsplit_step_map(model, kernel, h)
         assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_propagator_series_columns(self):
@@ -293,19 +294,61 @@ class TestBlockedVolterra:
             assert np.array_equal(out[0], x0)
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_per_set_maps_are_blocks_of_unsplit_map(self, case):
+        # the scaling and the Taylor cut come from the whole operators, so
+        # each set's map is the rows and columns of the unsplit map.  Where
+        # an operator entry has both a real and an imaginary part (the lone
+        # coherences of qutrit decay, -1 - 1.1j), the k-component product
+        # and the whole one may take BLAS kernels that round differently
+        # (fused or separate multiply-add), by a few units in the last place
+        model, kernel, _ = case
+        L, L_H = dynamics.dissipator(model), dynamics.coherent_liouvillian(model)
+        D, eps = L.shape[0], np.finfo(float).eps
+        whole = unsplit_step_map(model, kernel, self.H)
+        offsets = D * np.arange(kernel.n_modes + 1)[:, None]
+        for group in dynamics._coupled_sets(L, L_H):
+            maps = dynamics._embedding_step_map(L, L_H, kernel, self.H, group)
+            for phi, members in zip(maps, group):
+                idx = (offsets + members).reshape(-1)
+                block = whole[np.ix_(idx, idx)]
+                if model.dim == 3:
+                    assert np.max(np.abs(phi - block)) <= 4 * eps * np.max(np.abs(whole))
+                else:
+                    assert np.array_equal(phi, block)
+
+    @pytest.mark.parametrize("picture", ["interaction", "schroedinger"])
+    def test_dephasing_builds_only_one_component_maps(self, monkeypatch, picture):
+        seen = []
+        build = dynamics._embedding_step_map
+
+        def spy(L, L_H, kernel, h, sets):
+            seen.append(sets.shape)
+            return build(L, L_H, kernel, h, sets)
+
+        monkeypatch.setattr(dynamics, "_embedding_step_map", spy)
+        model = nm.dephasing_model(nm.manifold_ensemble(1.0, 0.2, 0.3, 20), omega=1.3,
+                                   picture=picture)
+        tg = nm.time_grid(5.0, 50)
+        nm.evolve_volterra(model, RHO_XY, tg)
+        dynamics.volterra_propagator_series(model, tg)
+        assert seen == [(4, 1), (4, 1)]
+
     @pytest.mark.parametrize("edges,expected", [
-        # x_0 <- x_1 <- x_2 with no direct entry x_0 <- x_2
-        ([(0, 1), (1, 2)], [[0, 1, 2], [3]]),
+        # (entries of L, entries of L_H); x_0 <- x_1 <- x_2 with no direct entry x_0 <- x_2
+        (([(0, 1), (1, 2)], []), [[0, 1, 2], [3]]),
         # x_1 feeds both x_0 and x_2, which never feed each other
-        ([(0, 1), (2, 1)], [[0, 1, 2], [3]]),
-        ([], [[0], [1], [2], [3]]),
+        (([(0, 1), (2, 1)], []), [[0, 1, 2], [3]]),
+        (([], []), [[0], [1], [2], [3]]),
+        # only the coherent part couples x_2 and x_3
+        (([], [(3, 2)]), [[0], [1], [2, 3]]),
+        (([(1, 0)], [(2, 3)]), [[0, 1], [2, 3]]),
     ])
     def test_coupled_sets_partition_the_components(self, edges, expected):
-        # two blocks of D = 4 components, the couplings only in the memory block
-        phi = np.eye(8, dtype=complex)
-        for a, b in edges:
-            phi[4 + a, b] = 0.5
-        groups = dynamics._coupled_sets(phi, 4)
+        L, L_H = -np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)
+        for op, entries in zip((L, L_H), edges):
+            for a, b in entries:
+                op[a, b] = 0.5
+        groups = dynamics._coupled_sets(L, L_H)
         assert sorted(s.tolist() for g in groups for s in g) == expected
 
     def test_short_grid_forms_no_power_past_its_end(self):
@@ -329,7 +372,7 @@ class TestBlockedVolterra:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid:RuntimeWarning")
     def test_growing_mode_refused_for_maps(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
+        model = nm.dephasing_model(single_rate_ensemble(1.0))
         kernel = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
         with pytest.raises(nm.SolverError, match="not finite"):
             dynamics.volterra_propagator_series(model, nm.time_grid(10.0, 100), kernel)
@@ -349,10 +392,10 @@ class TestBlockedVolterra:
 class TestExactMemorySuperop:
     def test_single_rate_is_rate_times_dissipator(self):
         gamma = 1.3
-        model = nm.dephasing_model(nm.single_rate_ensemble(gamma))
+        model = nm.dephasing_model(single_rate_ensemble(gamma))
         L = dynamics.dissipator(model)
         for u in (0.5, 2.0 + 1.0j):
-            assert np.max(np.abs(nm.exact_memory_superop(model, u) - gamma * L)) < 1e-10
+            assert np.max(np.abs(exact_memory_superop(model, u) - gamma * L)) < 1e-10
 
     def test_dephasing_full_kernel_identity(self):
         ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
@@ -365,7 +408,7 @@ class TestExactMemorySuperop:
             K_of_M = dec.markov_weight * np.eye(4)
             for c, p in zip(dec.amplitudes, dec.poles):
                 K_of_M = K_of_M + c * np.linalg.inv(M - p * np.eye(4))
-            lhs = nm.exact_memory_superop(model, u)
+            lhs = exact_memory_superop(model, u)
             assert np.max(np.abs(lhs - K_of_M @ L)) < 1e-9
 
     def test_high_frequency_limit(self):
@@ -373,14 +416,14 @@ class TestExactMemorySuperop:
         model = nm.dephasing_model(ens)
         st = nm.stats(ens)
         L = dynamics.dissipator(model)
-        LL = nm.exact_memory_superop(model, 1e6)
+        LL = exact_memory_superop(model, 1e6)
         assert np.max(np.abs(LL - st.mean_rate * L)) < 1e-4
 
 
 class TestMonteCarlo:
     def test_single_rate_both_schemes(self):
         gamma = 1.1
-        model = nm.dephasing_model(nm.single_rate_ensemble(gamma))
+        model = nm.dephasing_model(single_rate_ensemble(gamma))
         tg = nm.time_grid(4.0, 40)
         exact = nm.evolve_ensemble(model, RHO_XY, tg)
         for scheme in ("frozen_rate", "renewal"):
@@ -444,7 +487,7 @@ class TestMonteCarlo:
 
     def test_rejects_unnormalized_jumps(self):
         model = nm.ModelSpec(0.5 * SIGMA_Z, (SIGMA_Z / 2.0,),
-                             nm.single_rate_ensemble(1.0), "interaction")
+                             single_rate_ensemble(1.0), "interaction")
         with pytest.raises(ValueError, match="not normalized"):
             nm.mc_trajectories(model, RHO_PLUS, nm.time_grid(1.0, 10), nm.MCConfig(10, 1))
 
@@ -453,6 +496,79 @@ class TestMonteCarlo:
         jumps = random_normalized_jumps(rng)
         total = sum(V.conj().T @ V for V in jumps)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
+
+
+def splitmix_events(seed, n, t_max, rates, weights, renewal):
+    """The sampling contract, one trajectory at a time in scalar splitmix64 arithmetic.
+
+    Trajectory i owns the stream seeded (seed + i * golden) mod 2^64, i >= 1.
+    Each draw advances it by golden and mixes it to a uniform in (0, 1).  The
+    frozen scheme draws the level once; the renewal scheme draws it before
+    every wait.  A wait is -log(u) / rate; a zero rate waits forever.
+    """
+    mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def draw(state):
+        state = (state + golden) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        return state, ((z >> 11) + 0.5) * 2.0**-53
+
+    cum = np.cumsum(weights)
+
+    def level(u):
+        return rates[min(int(np.searchsorted(cum, u, side="right")), len(rates) - 1)]
+
+    times, offsets = [], [0]
+    for i in range(1, n + 1):
+        state, t = (seed + i * golden) & mask, 0.0
+        if not renewal:
+            state, u = draw(state)
+            rate = level(u)
+        while True:
+            if renewal:
+                state, u = draw(state)
+                rate = level(u)
+            state, u = draw(state)
+            if rate == 0.0:
+                break
+            t += -np.log(u) / rate
+            if t > t_max:
+                break
+            times.append(t)
+        offsets.append(len(times))
+    return np.array(times), np.array(offsets)
+
+
+class TestEventSampling:
+    """Both schemes against the per-trajectory splitmix64 reference."""
+
+    @pytest.mark.parametrize("rates,weights", [([2.2, 0.9], [0.5, 0.5]),
+                                               ([2.0, 0.0, 0.7], [0.3, 0.4, 0.3])],
+                             ids=["two_levels", "zero_rate_level"])
+    @pytest.mark.parametrize("seed", [3, 2**64 - 5])
+    def test_matches_scalar_reference(self, rates, weights, seed):
+        rates, weights = np.array(rates), np.array(weights)
+        for renewal, sample in ((False, _mc.sample_frozen_events),
+                                (True, _mc.sample_renewal_events)):
+            times, offsets = sample(seed, 300, 2.5, rates, weights)
+            ref_times, ref_offsets = splitmix_events(seed, 300, 2.5, rates, weights, renewal)
+            assert offsets.dtype == np.int64 and np.array_equal(offsets, ref_offsets)
+            assert np.array_equal(times, ref_times)
+            counts = np.diff(offsets)
+            assert counts.min() == 0 and counts.max() > 1
+
+    def test_rates_below_the_double_range_end_their_trajectories(self):
+        # a wait of -log(u) / 1e-310 overflows; under the CLI's error state
+        # it must end the trajectory, not raise
+        rates, weights = np.array([1.5, 1e-310, 0.0]), np.array([0.4, 0.3, 0.3])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for sample in (_mc.sample_frozen_events, _mc.sample_renewal_events):
+                times, offsets = sample(9, 400, 3.0, rates, weights)
+                assert np.all(np.isfinite(times)) and np.all(times <= 3.0)
+                assert offsets[-1] == times.size > 0
 
 
 EDGE_GRID = np.linspace(0.0, 1.0, 11)
@@ -484,7 +600,7 @@ class TestCountHistogram:
     def test_sampled_streams_both_schemes(self, rates, weights):
         rates, weights = np.array(rates), np.array(weights)
         tg = nm.time_grid(3.0, 30)
-        E_deph = dynamics.event_map(nm.dephasing_model(nm.single_rate_ensemble(1.0)))
+        E_deph = dynamics.event_map(nm.dephasing_model(single_rate_ensemble(1.0)))
         frozen = _mc.sample_frozen_events(3, 5000, tg[-1], rates, weights)
         renewal = _mc.sample_renewal_events(3, 5000, tg[-1], rates, weights)
         for E in (E_deph, self.random_event_map()):
@@ -607,7 +723,7 @@ class TestInvariants:
 
     def test_markov_case_is_local(self):
         # contrast: a single rate admits an exact time-independent generator
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.5))
+        model = nm.dephasing_model(single_rate_ensemble(1.5))
         tg = nm.time_grid(8.0, 800)
         res = nm.evolve_ensemble(model, RHO_PLUS, tg)
         vecs = np.array([qops.vectorize(s) for s in res.states])
@@ -619,7 +735,7 @@ class TestInvariants:
         assert resid < 1e-3
 
     def test_grid_validation(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.0))
+        model = nm.dephasing_model(single_rate_ensemble(1.0))
         with pytest.raises(ValueError, match="uniform"):
             nm.evolve_ensemble(model, RHO_PLUS, np.array([0.0, 0.1, 0.3]))
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import scipy.integrate
 from nmbath import qops
 from nmbath.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
 
-from helpers import apply_superop, hermiticity_defect, propagate, trace_defect
+from helpers import (apply_superop, devectorize, hermiticity_defect, propagate, resolvent,
+                     trace_defect)
 
 
 def random_hermitian(rng, d):
@@ -28,7 +29,7 @@ class TestVectorize:
     def test_identity_column_major(self):
         v = qops.vectorize(IDENTITY_2)
         assert np.array_equal(v, np.array([1, 0, 0, 1], dtype=complex))
-        assert np.array_equal(qops.devectorize(v), IDENTITY_2)
+        assert np.array_equal(devectorize(v), IDENTITY_2)
 
     def test_zero(self):
         assert np.all(qops.vectorize(np.zeros((3, 3))) == 0)
@@ -36,7 +37,7 @@ class TestVectorize:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(7)
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(qops.devectorize(qops.vectorize(M)), M)
+        assert np.array_equal(devectorize(qops.vectorize(M)), M)
 
     def test_product_rule(self):
         # vec(A X B) = kron(B.T, A) vec(X), the package-wide convention
@@ -50,7 +51,7 @@ class TestVectorize:
         with pytest.raises(ValueError):
             qops.vectorize(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            qops.devectorize(np.zeros(5))
+            devectorize(np.zeros(5))
 
 
 class TestHamiltonianLiouvillian:
@@ -167,13 +168,13 @@ class TestPropagate:
 
 class TestResolvent:
     def test_zero_generator(self):
-        R = qops.resolvent(np.zeros((4, 4), dtype=complex), 2.0)
+        R = resolvent(np.zeros((4, 4), dtype=complex), 2.0)
         assert np.allclose(R, 0.5 * np.eye(4), atol=1e-14)
 
     def test_dephasing_eigenmode(self):
         gamma, u = 0.7, 1.5
         gen = dephasing_generator(gamma)
-        out = qops.devectorize(qops.resolvent(gen, u) @ qops.vectorize(SIGMA_X))
+        out = devectorize(resolvent(gen, u) @ qops.vectorize(SIGMA_X))
         assert np.allclose(out, SIGMA_X / (u + 2 * gamma), atol=1e-12)
 
     def test_matches_laplace_quadrature(self):
@@ -184,11 +185,11 @@ class TestResolvent:
         props = qops.generator_factorization(gen[None], [1.0]).average(tt, np.eye(4)[None])
         integrand = np.exp(-u * tt)[:, None, None] * props
         quad = scipy.integrate.simpson(integrand, x=tt, axis=0)
-        assert np.max(np.abs(quad - qops.resolvent(gen, u))) < 1e-6
+        assert np.max(np.abs(quad - resolvent(gen, u))) < 1e-6
 
     def test_singular_point(self):
         with pytest.raises(ValueError, match="spectrum"):
-            qops.resolvent(np.zeros((4, 4), dtype=complex), 0.0)
+            resolvent(np.zeros((4, 4), dtype=complex), 0.0)
 
 
 class TestChoi:

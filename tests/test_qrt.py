@@ -6,7 +6,8 @@ from nmbath import dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
 
 from helpers import (apply_superop, dephasing_analytic, expectation_series, heisenberg_generator,
-                     propagate, qrt_prediction, stationary_state)
+                     observable_propagator, propagate, qrt_prediction, single_rate_ensemble,
+                     stationary_state)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_Y = 0.5 * (IDENTITY_2 + SIGMA_Y)
@@ -23,7 +24,7 @@ def random_density(rng):
 
 def raw_sigma_z_model(gamma):
     """Explicit V = sigma_z: coherences decay at 2*gamma."""
-    return nm.ModelSpec(0.5 * SIGMA_Z, (SIGMA_Z,), nm.single_rate_ensemble(gamma),
+    return nm.ModelSpec(0.5 * SIGMA_Z, (SIGMA_Z,), single_rate_ensemble(gamma),
                         "interaction")
 
 
@@ -64,7 +65,7 @@ class TestObservablePropagator:
     def test_dephasing_diagonal_form(self):
         model = nm.dephasing_model(TWO_RATE)
         taug = np.linspace(0.0, 5.0, 11)
-        G = qrt.observable_propagator(model, BASIS, taug)
+        G = observable_propagator(model, BASIS, taug)
         p0 = nm.survival(TWO_RATE, taug)
         expected = np.zeros_like(G)
         for k in range(taug.size):
@@ -73,13 +74,13 @@ class TestObservablePropagator:
 
     def test_identity_at_zero(self):
         model = nm.dephasing_model(TWO_RATE)
-        G = qrt.observable_propagator(model, BASIS, [0.0])
+        G = observable_propagator(model, BASIS, [0.0])
         assert np.max(np.abs(G[0] - np.eye(4))) < 1e-12
 
     def test_gram_condition_guard(self):
         bad_basis = (SIGMA_X, SIGMA_X + 1e-9 * SIGMA_Y, SIGMA_Z, IDENTITY_2)
         with pytest.raises(ValueError, match="ill-conditioned"):
-            qrt.observable_propagator(nm.dephasing_model(TWO_RATE), bad_basis, [0.0])
+            observable_propagator(nm.dephasing_model(TWO_RATE), bad_basis, [0.0])
 
 
 class TestTwoTimeCorrelation:
@@ -121,7 +122,7 @@ class TestTwoTimeCorrelation:
 
 class TestPrediction:
     def test_single_rate_prediction_exact(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.5))
+        model = nm.dephasing_model(single_rate_ensemble(1.5))
         taug = np.linspace(0.0, 4.0, 9)
         pred = qrt_prediction(model, RHO_Y, SIGMA_Z, BASIS, 0.9, taug)
         actual = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, 0.9, taug)
@@ -136,7 +137,7 @@ class TestPrediction:
 
 class TestResidualSurface:
     def test_single_rate_zero(self):
-        model = nm.dephasing_model(nm.single_rate_ensemble(1.5))
+        model = nm.dephasing_model(single_rate_ensemble(1.5))
         tg = np.linspace(0.0, 4.0, 9)
         surf = qrt.qrt_residual(model, RHO_Y, SIGMA_Z, BASIS, tg, tg)
         assert np.max(np.abs(surf.residual)) < 1e-10

@@ -5,6 +5,8 @@ import pytest
 
 import nmbath.ratebath as rb
 
+from helpers import f_of_u, p0_of_u, single_rate_ensemble
+
 
 def random_ensemble(rng, max_n=6):
     n = int(rng.integers(1, max_n))
@@ -108,7 +110,7 @@ class TestEnsembleConstruction:
             rb.manifold_ensemble(1.0, 0.3, 0.4, 0)
 
     def test_single_rate_product(self):
-        st = rb.stats(rb.single_rate_ensemble(2.3))
+        st = rb.stats(single_rate_ensemble(2.3))
         assert math.isclose(st.mean_rate * st.mean_waiting_time, 1.0)
 
     def test_cauchy_schwarz(self):
@@ -150,7 +152,7 @@ class TestEnsembleConstruction:
 
 class TestSurvival:
     def test_single_rate(self):
-        ens = rb.single_rate_ensemble(1.4)
+        ens = single_rate_ensemble(1.4)
         t = np.linspace(0, 5, 11)
         assert np.allclose(rb.survival(ens, t), np.exp(-1.4 * t), atol=1e-14)
         assert np.allclose(rb.waiting_density(ens, t), 1.4 * np.exp(-1.4 * t), atol=1e-14)
@@ -176,13 +178,13 @@ class TestSurvival:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            rb.survival(rb.single_rate_ensemble(1.0), -0.1)
+            rb.survival(single_rate_ensemble(1.0), -0.1)
 
 
 class TestSpectral:
     def test_single_rate_w(self):
         u = np.linspace(0.1, 10, 25)
-        w = rb.w_of_u(rb.single_rate_ensemble(1.3), u)
+        w = rb.w_of_u(single_rate_ensemble(1.3), u)
         assert np.allclose(w, 1.3 / (u + 1.3), atol=1e-14)
 
     def test_w_at_zero_is_one(self):
@@ -196,7 +198,7 @@ class TestSpectral:
         for _ in range(10):
             ens = random_ensemble(rng)
             u = np.linspace(0.05, 12.0, 40)
-            p0 = rb.p0_of_u(ens, u)
+            p0 = p0_of_u(ens, u)
             assert np.max(np.abs(p0 - (1.0 - rb.w_of_u(ens, u)) / u)) < 1e-12
 
     def test_two_state_closed_form(self):
@@ -233,7 +235,7 @@ class TestSpectral:
 
 class TestKernelDecomposition:
     def test_single_rate_markov(self):
-        dec = rb.kernel_decompose(rb.single_rate_ensemble(0.9))
+        dec = rb.kernel_decompose(single_rate_ensemble(0.9))
         assert dec.n_modes == 0
         assert math.isclose(dec.markov_weight, 0.9)
         # with no modes every sum is empty
@@ -287,7 +289,7 @@ class TestKernelDecomposition:
             ens = random_ensemble(rng)
             dec = rb.kernel_decompose(ens)
             u = np.linspace(0.1, 10.0, 50) * rb.stats(ens).mean_rate
-            exact = rb.w_of_u(ens, u) / rb.p0_of_u(ens, u)
+            exact = rb.w_of_u(ens, u) / p0_of_u(ens, u)
             assert np.max(np.abs(dec.of_u(u) - exact)) < 1e-8
 
     @pytest.mark.parametrize("n", [10, 40, 200])
@@ -317,7 +319,7 @@ class TestKernelDecomposition:
         assert np.max(np.abs(dec.of_u(u) - exact) / np.abs(exact)) < 1e-12
         # the time domain agrees with numerical inversion of the full ensemble
         t = np.linspace(0.1, 20.0, 40) / rb.stats(ens).mean_rate
-        got = rb.talbot_invert(lambda s: rb.f_of_u(ens, s), t)
+        got = rb.talbot_invert(lambda s: f_of_u(ens, s), t)
         assert np.max(np.abs(got - rb.sprinkling(ens, t))) < 1e-9
 
     def test_markov_weight_is_mean_rate(self):
@@ -334,7 +336,7 @@ class TestKernelDecomposition:
 
 class TestSprinkling:
     def test_single_rate_constant(self):
-        ens = rb.single_rate_ensemble(1.7)
+        ens = single_rate_ensemble(1.7)
         t = np.linspace(0, 10, 21)
         assert np.allclose(rb.sprinkling(ens, t), 1.7, atol=1e-12)
 
@@ -427,15 +429,15 @@ class TestTalbot:
         # f has a positive floor, so pointwise relative accuracy holds far out
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         t = np.linspace(0.1, 50.0 / 1.5, 60)
-        got = rb.talbot_invert(lambda u: rb.f_of_u(ens, u), t)
+        got = rb.talbot_invert(lambda u: f_of_u(ens, u), t)
         exact = rb.sprinkling(ens, t)
         assert np.max(np.abs(got - exact) / exact) < 1e-8
 
     def test_node_doubling_self_convergence(self):
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         t = np.linspace(0.1, 30.0, 40)
-        a = rb.talbot_invert(lambda u: rb.f_of_u(ens, u), t, nodes=32)
-        b = rb.talbot_invert(lambda u: rb.f_of_u(ens, u), t, nodes=64)
+        a = rb.talbot_invert(lambda u: f_of_u(ens, u), t, nodes=32)
+        b = rb.talbot_invert(lambda u: f_of_u(ens, u), t, nodes=64)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_fractional_tail(self):
@@ -517,5 +519,5 @@ class TestPowerLawFit:
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         lo, hi = rb.default_power_law_window(ens)
         assert lo < hi
-        lo1, hi1 = rb.default_power_law_window(rb.single_rate_ensemble(1.0))
+        lo1, hi1 = rb.default_power_law_window(single_rate_ensemble(1.0))
         assert lo1 < hi1
