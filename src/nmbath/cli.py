@@ -263,7 +263,8 @@ def cmd_correlate(args):
     cfg, out_dir = _load(args)
     model = cfgmod.build_model(cfg)
     if model.dim != 2:
-        raise SolverError("correlate currently supports two-level systems")
+        raise ConfigError(f"keys 'model.h_matrix'/'model.jump_matrices': the model is "
+                          f"{model.dim}x{model.dim}, but correlate takes two-level models only")
     S = cfgmod.build_operator(cfg, "correlate.s_operator", "correlate.s_matrix")
     if S.shape != (model.dim, model.dim):
         raise ConfigError(f"key 'correlate.s_matrix': S is {S.shape[0]}x{S.shape[0]} "

@@ -3,7 +3,8 @@
 Three mutually validating routes:
 
 * ``evolve_ensemble`` - the exact rate average, a weighted sum of fixed-rate
-  Lindblad propagations.  Reference for every cross-check.
+  Lindblad propagations, each in blocked powers of its step map as below.
+  Reference for every cross-check.
 * ``evolve_volterra`` - solves the effective memory-kernel equation
   d rho/dt = L_H rho + int K(t-s) exp((t-s) L_H) L rho(s) ds.  The kernel
   K(t) = kappa delta(t) + sum_j c_j exp(p_j t) is a sum of exponentials, so
@@ -34,11 +35,6 @@ PICTURES = ("interaction", "schroedinger")
 
 # largest entry of [L_H, L] for which the interaction picture is accepted
 COMMUTATOR_TOL = 1e-10
-
-# most Taylor terms of the Volterra step map; with |h G|_1 <= 1 the
-# truncation error is below sum_{k > 18} 1/k! < 1e-17
-TAYLOR_DEGREE = 18
-
 
 class SolverError(RuntimeError):
     """Raised when a solver precondition or accuracy contract fails."""
@@ -152,16 +148,11 @@ def _diagnose(states):
 
 
 def _check_grid(tgrid):
+    """A grid t0 + k h of at least two times, and its step h."""
     tgrid = np.asarray(tgrid, dtype=float)
     if tgrid.ndim != 1 or tgrid.size < 2:
         raise ValueError("time grid must be a 1-d array with at least two points")
-    steps = np.diff(tgrid)
-    if np.any(steps <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    h = steps[0]
-    if np.max(np.abs(steps - h)) > 1e-9 * h:
-        raise ValueError("time grid must be uniform")
-    return tgrid, float(h)
+    return tgrid, qops.arithmetic_grid(tgrid)[1]
 
 
 def time_grid(t_max, steps):
@@ -172,18 +163,13 @@ def time_grid(t_max, steps):
 
 
 def evolve_ensemble(model: ModelSpec, rho0, tgrid) -> EvolutionResult:
-    """Exact solution: weighted average of fixed-rate Lindblad evolutions.
-
-    ``meta["expm_fallbacks"]`` counts the rates evaluated without an eigenbasis.
-    """
+    """Exact solution: weighted average of fixed-rate Lindblad evolutions."""
     rho0 = qops.require_density_matrix(rho0)
     tgrid, _ = _check_grid(tgrid)
-    stack = rate_stack(model)
-    vecs = stack.average(tgrid, qops.vectorize(rho0)[None])
+    vecs = rate_stack(model).average(tgrid, qops.vectorize(rho0)[None])
     states = vecs.reshape(-1, model.dim, model.dim, order="F")
     drift, mineig = _diagnose(states)
-    return EvolutionResult(tgrid, states, "ensemble", drift, mineig,
-                           meta={"expm_fallbacks": stack.expm_fallbacks})
+    return EvolutionResult(tgrid, states, "ensemble", drift, mineig)
 
 
 def ensemble_propagator_series(model: ModelSpec, tgrid):
@@ -192,8 +178,8 @@ def ensemble_propagator_series(model: ModelSpec, tgrid):
     return rate_stack(model).average(tgrid, np.eye(model.dim ** 2)[None])
 
 
-def _embedding_step_map(L, L_H, kernel, h, sets):
-    """Phi = expm(h G) for the generator G of the Markovian embedding y = (x, m_1..m_n).
+def _embedding_expm1(L, L_H, kernel, h, sets):
+    """expm(h G) - I for the generator G of the Markovian embedding y = (x, m_1..m_n).
 
     The memory variables m_j(t) = int_0^t c_j exp((t-s)(p_j + L_H)) L x(s) ds
     turn the memory-kernel equation into the linear ODE y' = G y:
@@ -203,14 +189,10 @@ def _embedding_step_map(L, L_H, kernel, h, sets):
 
     ``sets`` is a (sets, k) array of coupled sets of components (see
     :func:`_coupled_sets`); the result is one map (sets, S, S), S = k (n+1),
-    for y restricted to each set.  Phi is the Taylor series of
-    expm(h G / 2^s), cut where its terms fall below round-off and squared
-    s times, with s chosen so that |h G / 2^s|_1 <= 1.  The 1-norms are those
-    of the whole L and L_H, so s and the cut do not depend on the split.
-    Each term applies G block by block, which costs O(n k^2) per column where
-    a dense product costs O(n^2 k^2).  scipy.linalg.expm is avoided: its
-    LAPACK solve wakes OpenBLAS worker threads, even for 8x8 matrices, and
-    they keep a second core spinning after the call returns.
+    for y restricted to each set, summed by :func:`qops.expm1`.  The
+    1-norm bound is that of the whole L and L_H, so the scaling and the
+    Taylor cut do not depend on the split.  G is applied block by block,
+    which costs O(n k^2) per column where a dense product costs O(n^2 k^2).
     """
     A = L_H + kernel.markov_weight * L
     c = np.reshape(kernel.amplitudes, (-1, 1, 1))
@@ -218,28 +200,19 @@ def _embedding_step_map(L, L_H, kernel, h, sets):
     # largest column sum over the x block and the m_j blocks of G
     norm = h * max(np.linalg.norm(A, 1) + np.abs(c).sum() * np.linalg.norm(L, 1),
                    1.0 + np.abs(p).max(initial=0.0) + np.linalg.norm(L_H, 1))
-    squarings = max(0, int(np.frexp(norm)[1]))
-    scale = 2.0 ** -squarings
     block = sets[:, :, None], sets[:, None]
     A, L, L_H = A[block], L[block], L_H[block]
     count, k = sets.shape
     size = k * (kernel.n_modes + 1)
-    term = np.tile(np.eye(size, dtype=complex).reshape(-1, k, size), (count, 1, 1, 1))
-    phi = term.copy()
-    bound = 1.0  # on |term|_1
-    for j in range(1, TAYLOR_DEGREE + 1):
+
+    def apply(term):
+        term = term.reshape(count, -1, k, size)
         x, m = term[:, 0], term[:, 1:]
-        term = np.concatenate([(A @ x + m.sum(axis=1))[:, None],
-                               c * (L @ x)[:, None] + p * m + L_H[:, None] @ m], axis=1)
-        term *= h * scale / j
-        phi += term
-        bound *= norm * scale / j
-        if bound < np.finfo(float).eps:
-            break
-    phi = phi.reshape(count, size, size)
-    for _ in range(squarings):
-        phi = phi @ phi
-    return phi
+        return np.concatenate([(A @ x + m.sum(axis=1))[:, None],
+                               c * (L @ x)[:, None] + p * m + L_H[:, None] @ m],
+                              axis=1).reshape(count, size, size)
+
+    return qops.expm1(apply, h, norm, (count, size, size))
 
 
 def _coupled_sets(L, L_H):
@@ -260,40 +233,6 @@ def _coupled_sets(L, L_H):
     return [np.array([s for s in sets if s.size == size]) for size in {s.size for s in sets}]
 
 
-def _block_powers(phi, x0, nt):
-    """x_k = P Phi^k y0 for k <= nt from y0 = (x0, 0), for a stack of step maps.
-
-    ``phi`` is (sets, S, S) and ``x0`` (sets, D) or (sets, D, cols); P keeps
-    the first D rows.  In blocks of B steps, x_{jB+i} = R_i z_j with the rows
-    R_i = P Phi^i (i < B) and the block starts z_j = (Phi^B)^j y0, so every
-    grid time comes from one product of the stacked rows with the stacked
-    starts.  B is the smallest power of two with B D >= S, so the starts take
-    no more memory than the output; it is capped at nt, so no power of Phi
-    past the last grid time is formed.
-    """
-    sets, S, D = phi.shape[0], phi.shape[1], x0.shape[1]
-    c = x0[0].size // D
-    B = 1 << min((S // D - 1).bit_length(), nt.bit_length() - 1)
-    # rows by doubling: [R_0..R_{m-1}; (R_0..R_{m-1}) Phi^m], m = 1, 2, .., B/2
-    rows, power = np.tile(np.eye(D, S, dtype=complex), (sets, 1, 1)), phi
-    while rows.shape[1] < B * D:
-        rows = np.concatenate([rows, rows @ power], axis=1)
-        power = power @ power
-    y = np.zeros((sets, S, c), dtype=complex)
-    y[:, :D] = x0.reshape(sets, D, c)
-    starts = [y]
-    for _ in range(nt // B):
-        starts.append(power @ starts[-1])
-    # full blocks in one product; a partial last block uses only its own rows
-    full, rest = divmod(nt + 1, B)
-    out = (rows @ np.concatenate(starts[:full], axis=2)).reshape(sets, B, D, full, c)
-    out = [out.transpose(3, 1, 0, 2, 4).reshape(full * B, sets, D, c)]
-    if rest:
-        last = (rows[:, :rest * D] @ starts[full]).reshape(sets, rest, D, c)
-        out.append(last.transpose(1, 0, 2, 3))
-    return np.concatenate(out).reshape((nt + 1,) + x0.shape)
-
-
 def _volterra_run(model, x0, tgrid, kernel):
     """x_k = P Phi^k (x0, 0) at every grid time; ``x0`` is a state (d^2,) or a map (d^2, d^2).
 
@@ -306,8 +245,12 @@ def _volterra_run(model, x0, tgrid, kernel):
     nt = tgrid.size - 1
     out = np.empty((nt + 1,) + x0.shape, dtype=complex)
     for group in _coupled_sets(L, L_H):
-        phi = _embedding_step_map(L, L_H, kernel, h, group)
-        out[:, group] = _block_powers(phi, x0[group], nt)
+        # y0 = (x0, 0): the memory variables start at zero
+        y0 = np.pad(x0[group].reshape(group.shape + (-1,)),
+                    ((0, 0), (0, group.shape[1] * kernel.n_modes), (0, 0)))
+        step = _embedding_expm1(L, L_H, kernel, h, group)
+        powers = qops.block_powers(step, y0, nt, group.shape[1])
+        out[:, group] = powers.reshape((nt + 1,) + x0[group].shape)
     if not np.all(np.isfinite(out)):
         raise SolverError("Volterra solution is not finite; the kernel has a growing mode")
     return tgrid, out

@@ -19,12 +19,9 @@ PSD_TOL = -1e-10
 # largest entry of sum_a V_a^dag V_a - I accepted for an event map
 NORMALIZATION_TOL = 1e-10
 
-# condition-number threshold above which propagators fall back from
-# eigendecomposition to scaling-and-squaring
-EIG_COND_LIMIT = 1e8
-
-# most phase entries exp(lambda_a t) held at once by a rate-stack average
-PHASE_CELLS = 1 << 16
+# most Taylor terms of a step map; with |h G|_1 <= 1 the truncation error is
+# below sum_{k > 18} 1/k! < 1e-17
+TAYLOR_DEGREE = 18
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -115,75 +112,132 @@ def jump_superoperator(jumps):
     return out
 
 
-class _RateStack:
-    """Eigendecompositions of a stack of generators G_R with weights P_R.
+def arithmetic_grid(times):
+    """(t0, h, nt) of the times t0 + k h, k = 0..nt, h > 0; a single time gives (t0, 0, 0)."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite and at least one")
+    if times.size == 1:
+        return float(times[0]), 0.0, 0
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    h = steps[0]
+    if np.max(np.abs(steps - h)) > 1e-9 * h:
+        raise ValueError("time grid must be uniform")
+    return float(times[0]), float(h), times.size - 1
 
-    One stacked eig, cond and inv serve every time and every operand:
-    sum_R P_R exp(t G_R) = sum_a exp(lambda_a t) r_a l_a^T over the modes
-    a = (R, j).  A rate whose eigenvector matrix has cond >= EIG_COND_LIMIT
-    (an exceptional point) stays out of the mode sum and is evaluated by
-    scaling-and-squaring instead.  Operands ``X`` carry a leading rate axis,
-    shape (R, D, ...), or (1, D, ...) when every rate shares one.
+
+def expm1(apply, h, norm, shape):
+    """expm(h G) - I for a stack of generators G of ``shape`` (n, S, S), given apply(X) = G X.
+
+    ``norm`` bounds |h G|_1.  The Taylor series of expm(h G / 2^s) - I is cut
+    where its terms fall below round-off, and s squarings of expm are taken
+    as E <- 2 E + E^2, with s chosen so that |h G / 2^s|_1 <= 1.  Holding
+    E = expm - I, not expm = I + E, keeps round-off relative to E: a step map
+    close to I rounds its trace-preserving column sums by about eps |E|, not
+    eps.  No eigenvectors are formed, so a defective G (an exceptional point)
+    costs no accuracy, and no LAPACK solve is made: scipy.linalg.expm's wakes
+    OpenBLAS worker threads, even for 8x8 matrices, and they keep a second
+    core spinning after the call returns.
+    """
+    squarings = max(0, int(np.frexp(norm)[1]))
+    scale = 2.0 ** -squarings
+    term = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
+    ex = np.zeros(shape, dtype=complex)
+    bound = 1.0  # on |term|_1
+    for j in range(1, TAYLOR_DEGREE + 1):
+        term = apply(term)
+        term *= h * scale / j
+        ex += term
+        bound *= norm * scale / j
+        if bound < np.finfo(float).eps:
+            break
+    for _ in range(squarings):
+        ex = 2.0 * ex + ex @ ex
+    return ex
+
+
+def block_powers(step, y0, nt, D, weights=None):
+    """x_k = P Phi^k y0 for k <= nt, for a stack of step maps; P keeps the first D rows.
+
+    ``step`` is the stack Phi - I, (n, S, S), as :func:`expm1` returns it,
+    and ``y0`` is (n, S, c).  In blocks of B steps, x_{jB+i} = R_i z_j with
+    the rows R_i = P Phi^i (i < B) and the starts z_j = (Phi^B)^j y0, so
+    every time comes from one product of the stacked rows with the stacked
+    starts.  The powers are doubled as Phi^m - I, like the squarings of
+    :func:`expm1`.  The result is (nt+1, n, D, c), or with ``weights`` the
+    weighted sum over the stack, (nt+1, D, c), taken inside that product:
+    rows (B D, n S) times starts (n S, J c).  B is the smallest power of two
+    with B D >= S, which keeps the starts no larger than the output, and with
+    B^2 >= nt/2, which balances the rows against the starts; it is capped at
+    nt.
+    """
+    n, S, c = y0.shape
+    log_b = max((S // D - 1).bit_length(), nt.bit_length() // 2)
+    B = 1 << min(log_b, max(nt.bit_length() - 1, 0))
+    # rows by doubling: [R_0..R_{m-1}; (R_0..R_{m-1}) Phi^m], m = 1, 2, .., B/2
+    rows = np.tile(np.eye(D, S, dtype=complex), (n, 1, 1))
+    while rows.shape[1] < B * D:
+        rows = np.concatenate([rows, rows + rows @ step], axis=1)
+        step = 2.0 * step + step @ step
+    # step is now Phi^B - I
+    starts = [y0]
+    for _ in range(nt // B):
+        starts.append(starts[-1] + step @ starts[-1])
+    if weights is not None:
+        rows = (weights[:, None, None] * rows).transpose(1, 0, 2).reshape(1, B * D, n * S)
+        starts = [z.reshape(1, n * S, c) for z in starts]
+    # full blocks in one product; a partial last block uses only its own rows
+    m = rows.shape[0]
+    full, rest = divmod(nt + 1, B)
+    out = (rows @ np.concatenate(starts[:full], axis=2)).reshape(m, B, D, full, c)
+    out = [out.transpose(3, 1, 0, 2, 4).reshape(full * B, m, D, c)]
+    if rest:
+        last = (rows[:, :rest * D] @ starts[full]).reshape(m, rest, D, c)
+        out.append(last.transpose(1, 0, 2, 3))
+    out = np.concatenate(out)
+    return out if weights is None else out[:, 0]
+
+
+class _RateStack:
+    """A stack of generators G_R with weights P_R, propagated by exact step maps.
+
+    At the times t0 + k h, exp((t0 + k h) G_R) X_R = Phi_R^k exp(t0 G_R) X_R
+    with Phi_R = expm(h G_R), taken in blocked powers (:func:`block_powers`);
+    each map is a Taylor series (:func:`expm1`), with no eigenvectors.
+    Operands ``X`` carry a leading rate axis, shape (R, D, ...), or
+    (1, D, ...) when every rate shares one.
     """
 
     def __init__(self, gens, weights):
         self.gens = np.asarray(gens, dtype=complex)
         self.weights = np.asarray(weights, dtype=float)
-        w, V = np.linalg.eig(self.gens)
-        cond = np.linalg.cond(V)
-        self.eigenbasis = np.isfinite(cond) & (cond < EIG_COND_LIMIT)
-        self.fallback = np.flatnonzero(~self.eigenbasis)
-        self.expm_fallbacks = int(self.fallback.size)
-        self.eigvals = w[self.eigenbasis]
-        self.right = V[self.eigenbasis]
-        self.left = np.linalg.inv(self.right)
+        # largest column sum of any G_R
+        self.norm = np.abs(self.gens).sum(axis=1).max(initial=0.0)
 
-    def _operand(self, X):
-        """X as (R, D, M), its trailing axes flattened, and the shape of one X_R."""
+    def _expm1(self, t):
+        return expm1(lambda X: self.gens @ X, t, abs(t) * self.norm, self.gens.shape)
+
+    def _powers(self, times, X, weights):
+        t0, h, nt = arithmetic_grid(times)
         X = np.asarray(X, dtype=complex)
-        flat = X.reshape(X.shape[:2] + (-1,))
-        return np.broadcast_to(flat, (self.weights.size,) + flat.shape[1:]), X.shape[1:]
-
-    def _expm(self, r, times):
-        # imported here, the only use of scipy: at module level it costs about
-        # 0.35 s on every CLI start
-        import scipy.linalg
-
-        return scipy.linalg.expm(times[:, None, None] * self.gens[r])
+        y0 = X.reshape(X.shape[:2] + (-1,))
+        y0 = np.broadcast_to(y0, (self.weights.size,) + y0.shape[1:])
+        if t0 != 0.0:
+            y0 = y0 + self._expm1(t0) @ y0
+        out = block_powers(self._expm1(h), y0, nt, y0.shape[1], weights)
+        return out, X.shape[1:]
 
     def per_rate(self, times, X):
-        """exp(t G_R) X_R for every rate and time, shape (R, n_t) + X.shape[1:]."""
-        times = np.asarray(times, dtype=float)
-        X, shape = self._operand(X)
-        out = np.empty((X.shape[0], times.size) + X.shape[1:], dtype=complex)
-        phases = np.exp(times[:, None] * self.eigvals[:, None, :])
-        coeff = self.left @ X[self.eigenbasis]
-        out[self.eigenbasis] = self.right[:, None] @ (phases[..., None] * coeff[:, None])
-        for r in self.fallback:
-            out[r] = self._expm(r, times) @ X[r]
+        """exp(t G_R) X_R for every time and rate, shape (n_t, R) + X.shape[1:]."""
+        out, shape = self._powers(times, X, None)
         return out.reshape(out.shape[:2] + shape)
 
     def average(self, times, X):
-        """sum_R P_R exp(t G_R) X_R for every time, shape (n_t,) + X.shape[1:].
-
-        The mode sum is one phases @ residues product, taken in time blocks
-        of at most PHASE_CELLS phase entries.
-        """
-        times = np.asarray(times, dtype=float)
-        X, shape = self._operand(X)
-        coeff = self.left @ X[self.eigenbasis]
-        # residue of mode a = (R, j): P_R r_a (l_a . X_R), one row per mode
-        residues = np.einsum("r,rij,rjm->rjim", self.weights[self.eigenbasis], self.right, coeff)
-        residues = residues.reshape(-1, X.shape[1] * X.shape[2])
-        lam = self.eigvals.reshape(-1)
-        out = np.empty((times.size, residues.shape[1]), dtype=complex)
-        rows = max(1, PHASE_CELLS // max(1, lam.size))
-        for k in range(0, times.size, rows):
-            out[k:k + rows] = np.exp(np.multiply.outer(times[k:k + rows], lam)) @ residues
-        out = out.reshape((times.size,) + X.shape[1:])
-        for r in self.fallback:
-            out += self.weights[r] * (self._expm(r, times) @ X[r])
-        return out.reshape((times.size,) + shape)
+        """sum_R P_R exp(t G_R) X_R for every time, shape (n_t,) + X.shape[1:]."""
+        out, shape = self._powers(times, X, self.weights)
+        return out.reshape(out.shape[:1] + shape)
 
 
 def generator_factorization(gens, weights):

@@ -46,37 +46,30 @@ def _basis_matrices(basis):
     return T, cols, gram_inv
 
 
-def _observable_propagator(stack, basis, taugrid):
-    T, cols, gram_inv = _basis_matrices(basis)
-    return T @ stack.average(taugrid, (cols @ gram_inv)[None])
+def _seeds(stack, rho0, S, t, tau):
+    """R_S rho_R(t) for every rate and time t, shape (R, D, n_t), with rho_R(t) = exp(G_R t) v0.
 
-
-def _correlation(stack, rho0, S, basis, t, tau):
-    """sum_R P_R T exp(G_R tau) R_S exp(G_R t) v0 with R_S = S^T (x) I, the map rho -> rho S.
-
-    In the eigenmodes of the stack this is the bilinear form
-    sum_{R,j,k} P_R (T r_Rj) e^{lambda_Rj tau} (l_Rj . R_S r_Rk) e^{lambda_Rk t} (l_Rk . v0).
+    R_S = S^T (x) I is the map rho -> rho S; t and tau must be nonnegative.
     """
     rho0 = qops.require_density_matrix(rho0)
-    S = np.asarray(S, dtype=complex)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(t_arr < 0) or np.any(tau_arr < 0):
+    if np.any(np.asarray(t) < 0) or np.any(np.asarray(tau) < 0):
         raise ValueError("correlation times must be nonnegative")
-    T = np.array([qops.vectorize(np.asarray(A, dtype=complex).T) for A in basis])
-    R_S = np.kron(S.T, np.eye(S.shape[0]))
-    rho_t = stack.per_rate(t_arr.reshape(-1), qops.vectorize(rho0)[None])  # (R, n_t, D)
-    corr = T @ stack.average(tau_arr.reshape(-1), R_S @ np.swapaxes(rho_t, 1, 2))
-    return np.moveaxis(corr, 0, -1).reshape((len(basis),) + np.shape(t) + np.shape(tau))
+    S = np.asarray(S, dtype=complex)
+    rho_t = stack.per_rate(np.reshape(t, -1), qops.vectorize(rho0)[None])
+    return np.kron(S.T, np.eye(S.shape[0])) @ rho_t.transpose(1, 2, 0)
 
 
 def two_time_correlation(model: ModelSpec, rho0, S, basis, t, tau):
-    """Exact <S(t) A_mu(t+tau)>, averaged over the rates.
+    """Exact <S(t) A_mu(t+tau)> = sum_R P_R T exp(G_R tau) R_S exp(G_R t) v0.
 
-    ``t`` and ``tau`` may each be a scalar or a grid; the result has shape
-    (len(basis),) + shape(t) + shape(tau).
+    ``t`` and ``tau`` may each be a scalar or a grid t0 + k h; the result has
+    shape (len(basis),) + shape(t) + shape(tau).
     """
-    return _correlation(rate_stack(model), rho0, S, basis, t, tau)
+    stack = rate_stack(model)
+    seeds = _seeds(stack, rho0, S, t, tau)
+    T = np.array([qops.vectorize(np.asarray(A, dtype=complex).T) for A in basis])
+    corr = T @ stack.average(np.reshape(tau, -1), seeds)
+    return np.moveaxis(corr, 0, -1).reshape((len(basis),) + np.shape(t) + np.shape(tau))
 
 
 @dataclass(frozen=True)
@@ -92,15 +85,24 @@ class CorrelationSurface:
 
 
 def qrt_residual(model: ModelSpec, rho0, S, basis, tgrid, taugrid) -> CorrelationSurface:
-    """Actual minus predicted correlators over the full (t, tau) surface."""
+    """Actual minus predicted correlators over the full (t, tau) surface.
+
+    One propagation over tau carries both the observable basis, for the
+    one-time propagator G(tau), and the operands R_S rho_R(t) of the actual
+    correlators.  The equal-time anchor T R_S rho_avg(t), with
+    rho_avg = sum_R P_R rho_R, comes from the states already propagated to t.
+    """
     tgrid = np.asarray(tgrid, dtype=float)
     taugrid = np.asarray(taugrid, dtype=float)
+    T, cols, gram_inv = _basis_matrices(basis)
     stack = rate_stack(model)
-    G = _observable_propagator(stack, basis, taugrid)
-    # the equal-time anchor is always tau = 0, whatever the tau grid contains
-    corr = _correlation(stack, rho0, S, basis, tgrid, np.concatenate(([0.0], taugrid)))
-    actual = corr[:, :, 1:].transpose(1, 2, 0)
-    predicted = np.einsum("smn,nk->ksm", G, corr[:, :, 0])
+    seeds = _seeds(stack, rho0, S, tgrid, taugrid)
+    anchor = T @ np.tensordot(stack.weights, seeds, 1)
+    k = cols.shape[1]
+    obs = np.broadcast_to(cols @ gram_inv, (seeds.shape[0],) + cols.shape)
+    out = T @ stack.average(taugrid, np.concatenate([obs, seeds], axis=2))
+    actual = out[:, :, k:].transpose(2, 0, 1)
+    predicted = np.einsum("smn,nk->ksm", out[:, :, :k], anchor)
     return CorrelationSurface(tgrid, taugrid, actual, predicted, actual - predicted)
 
 

@@ -317,9 +317,10 @@ class FractionalKernelModel:
 def fractional_model(alpha, mean_rate, fluctuation_rate, mean_waiting_time):
     """Fit the cutoff so the model reproduces the target <gamma><tau> product.
 
-    The cutoff solves alpha * (beta/cutoff)**(1-alpha) = <gamma><tau> - 1 by
-    bisection on [1e-12, 1e3]; an infinite waiting time forces cutoff 0 and a
-    pure power-law tail.
+    The cutoff solves alpha * (beta/cutoff)**(1-alpha) = <gamma><tau> - 1, so
+    cutoff = beta * (alpha / (<gamma><tau> - 1))**(1/(1-alpha)); it must lie
+    in [1e-12, 1e3].  An infinite waiting time forces cutoff 0 and a pure
+    power-law tail.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -335,25 +336,17 @@ def fractional_model(alpha, mean_rate, fluctuation_rate, mean_waiting_time):
     if target <= 0:
         raise ValueError("<gamma><tau> must exceed 1 for a finite cutoff")
 
-    def residual(gc):
-        return alpha * (fluctuation_rate / gc) ** (1.0 - alpha) - target
-
     lo, hi = 1e-12, 1e3
-    rlo, rhi = residual(lo), residual(hi)
-    if rlo < 0 or rhi > 0:
+    try:
+        cutoff = fluctuation_rate * (alpha / target) ** (1.0 / (1.0 - alpha))
+    except OverflowError:
+        cutoff = math.inf
+    if not lo <= cutoff <= hi:
+        rlo, rhi = (alpha * (fluctuation_rate / gc) ** (1.0 - alpha) - target for gc in (lo, hi))
         raise ValueError(
             "cutoff relation has no root in [1e-12, 1e3]: "
             f"residual({lo:g}) = {rlo:.3e}, residual({hi:g}) = {rhi:.3e}"
         )
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if residual(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    cutoff = 0.5 * (lo + hi)
     return FractionalKernelModel(alpha, mean_rate, fluctuation_rate, cutoff, amplitude)
 
 

@@ -1,7 +1,8 @@
 """Reference routines used only by the test suite.
 
-They evaluate each fixed-rate propagator densely with scipy.linalg.expm, so
-they stay independent of the rate-stack eigendecomposition the package uses.
+They evaluate each fixed-rate propagator densely with scipy.linalg.expm (a
+Pade approximant), so they stay independent of the Taylor step maps in
+blocked powers that the package uses; scipy is a test dependency only.
 The Laplace-domain memory superoperator, the resolvent and the small
 conveniences below are the test suite's own: no command runs them.
 """
@@ -91,8 +92,8 @@ def exact_memory_superop(model, u):
 
 def observable_propagator(model, basis, taugrid):
     """Matrix G(tau) with <A(tau)> = G(tau) <A(0)> for any initial state, shape (n_tau, k, k)."""
-    return qrt._observable_propagator(dynamics.rate_stack(model), basis,
-                                      np.asarray(taugrid, dtype=float))
+    T, cols, gram_inv = qrt._basis_matrices(basis)
+    return T @ dynamics.rate_stack(model).average(taugrid, (cols @ gram_inv)[None])
 
 
 def propagate(gen, t):
@@ -227,16 +228,17 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
     return _mc._mean_stderr(total, total_sq, len(off) - 1)
 
 
-def unsplit_step_map(model, kernel, h):
-    """The step map of the whole embedding, every component of x in one set."""
+def unsplit_expm1(model, kernel, h):
+    """Phi - I for the step map Phi of the whole embedding, every component of x in one set."""
     L, L_H = dynamics.dissipator(model), dynamics.coherent_liouvillian(model)
-    return dynamics._embedding_step_map(L, L_H, kernel, h, np.arange(L.shape[0])[None])[0]
+    return dynamics._embedding_expm1(L, L_H, kernel, h, np.arange(L.shape[0])[None])[0]
 
 
 def volterra_stepped(model, x0, tgrid, kernel):
     """x_k = P Phi^k y0 by the plain loop y <- Phi y on the unsplit step map."""
     tgrid, h = dynamics._check_grid(tgrid)
-    phi = unsplit_step_map(model, kernel, h)
+    step = unsplit_expm1(model, kernel, h)
+    phi = np.eye(step.shape[0]) + step
     D = x0.shape[0]
     y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
     y[:D] = x0

@@ -12,8 +12,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# sigma_x jumps with precession at the exceptional point gamma = omega: the one
-# rate's eigenvector matrix is singular, so it takes the expm fallback
+# sigma_x jumps with precession at the exceptional point gamma = omega, where
+# the one rate's eigenvector matrix is singular
 EXCEPTIONAL_POINT_CFG = """\
 ensemble.type = custom
 ensemble.rates = 0.5
@@ -41,11 +41,14 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_expm_fallback_imports_scipy_on_first_use(tmp_path):
+def test_exceptional_point_evolve_loads_no_scipy(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(EXCEPTIONAL_POINT_CFG)
     out = tmp_path / "out"
-    proc = run_python("-m", "nmbath.cli", "evolve", "--config", str(cfg), "--out", str(out))
+    argv = ["evolve", "--config", str(cfg), "--out", str(out)]
+    proc = run_python("-c", f"import sys; from nmbath import cli; code = cli.main({argv!r}); "
+                      "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
     summary = json.loads((out / "evolve_summary.json").read_text())
-    assert summary["meta"]["ensemble"]["expm_fallbacks"] == 1
+    assert "meta" not in summary

@@ -42,6 +42,9 @@ MANIFOLD_ABN_CFG = ("ensemble.type = manifold\nensemble.gamma = 1.0\nensemble.a 
 OVERFLOW_RATES_CFG = CUSTOM_RATES_CFG.format("1e200,1")
 H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
                     "model.h_matrix = 1,0,0;0,0,0;0,0,-1\nmodel.picture = schroedinger\n")
+# qutrit decay |2> -> |1> -> |0>: every solver takes it, correlate only two-level models
+QUTRIT_CFG = (H_MATRIX_3X3_CFG + "model.jumps = matrix\n"
+              "model.jump_matrices = 0,1,0;0,0,1;0,0,0\n")
 
 FITPOW_WINDOW_CFG = "fitpow.window_lo = {}\nfitpow.window_hi = {}\n"
 S_MATRIX_CFG = P_UP_CFG.format(0.5) + "correlate.s_operator = matrix\ncorrelate.s_matrix = {}\n"
@@ -109,6 +112,7 @@ HOSTILE = {
     "omega_nan": (P_UP_CFG.format(0.5) + "model.omega = nan\n", dict.fromkeys(MODEL_READERS, 2)),
     "unnormalized_jumps_mc": (JUMP_MATRICES_CFG.format("0,1;0,0") + "solver.methods = mc_frozen\n",
                               {"evolve": 2, "cpcheck": 0}),
+    "qutrit_decay": (QUTRIT_CFG, {"evolve": 0, "correlate": 2}),
 }
 
 
@@ -256,6 +260,8 @@ class TestConfigParsing:
         ("jump_matrices_nan", "cpcheck", "model.jump_matrices"),
         ("omega_nan", "correlate", "model.omega"),
         ("unnormalized_jumps_mc", "evolve", "model.jump_matrices"),
+        ("qutrit_decay", "correlate", "model.h_matrix"),
+        ("qutrit_decay", "correlate", "model.jump_matrices"),
     ])
     def test_matrix_fields_name_their_key(self, tmp_path, capsys, name, command, key):
         cfg = write_cfg(tmp_path, HOSTILE[name][0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,7 +10,7 @@ from nmbath import _mc, cli, dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
 from helpers import (apply_superop, ensemble_propagators, exact_memory_superop, propagate,
-                     single_rate_ensemble, trajectory_moments, unsplit_step_map,
+                     single_rate_ensemble, trajectory_moments, unsplit_expm1,
                      volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
@@ -83,11 +85,12 @@ class TestEvolveEnsemble:
 class TestExpmFallback:
     """sigma_x jumps at gamma = omega sit on an exceptional point: cond(V) ~ 1e8.
 
-    Such a rate is evaluated by scaling-and-squaring; every ensemble consumer
-    must still match a dense expm per rate.
+    No eigenvectors are formed there, so every ensemble consumer must match a
+    dense expm per rate.
     """
 
-    CASES = {"single": ([0.5], [1.0]), "mixed": ([0.5, 2.0], [0.5, 0.5])}
+    CASES = {"single": ([0.5], [1.0]), "mixed": ([0.5, 2.0], [0.5, 0.5]),
+             "unequal": ([0.5, 2.0], [0.3, 0.7])}
 
     @pytest.fixture(params=sorted(CASES))
     def model(self, request):
@@ -99,7 +102,6 @@ class TestExpmFallback:
         res = nm.evolve_ensemble(model, RHO_XY, tg)
         ref = ensemble_propagators(model, tg) @ qops.vectorize(RHO_XY)
         assert np.max(np.abs(res.states.reshape(tg.size, -1, order="F") - ref)) < 1e-10
-        assert res.meta["expm_fallbacks"] == 1
 
     def test_propagator_series(self, model):
         tg = nm.time_grid(6.0, 30)
@@ -125,6 +127,27 @@ class TestExpmFallback:
         predicted = np.einsum("smn,kn->ksm", G, actual[:, 0])
         assert np.max(np.abs(surf.actual - actual)) < 1e-10
         assert np.max(np.abs(surf.predicted - predicted)) < 1e-10
+
+    def test_exceptional_point_to_round_off(self):
+        # omega = 1 with rates (1, 2): an eigenvector route erred here by about 1e-9
+        model = sigma_x_model(nm.rate_ensemble([1.0, 2.0], [0.5, 0.5]))
+        tg, taug = nm.time_grid(6.0, 30), nm.time_grid(4.0, 8)
+        v0 = qops.vectorize(RHO_XY)
+        ref = ensemble_propagators(model, tg)
+        res = nm.evolve_ensemble(model, RHO_XY, tg)
+        assert np.max(np.abs(res.states.reshape(tg.size, -1, order="F") - ref @ v0)) < 1e-13
+        assert np.max(np.abs(dynamics.ensemble_propagator_series(model, tg) - ref)) < 1e-13
+        basis = qrt.pauli_basis()
+        T = np.array([qops.vectorize(A.T) for A in basis])
+        R_S = np.kron(SIGMA_Z.T, IDENTITY_2)
+        expected = 0.0
+        for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
+            one = dataclasses.replace(model, ensemble=single_rate_ensemble(rate))
+            seeds = R_S @ (ensemble_propagators(one, tg) @ v0).T
+            props = ensemble_propagators(one, taug)
+            expected = expected + weight * np.einsum("mi,sij,jk->mks", T, props, seeds)
+        corr = qrt.two_time_correlation(model, RHO_XY, SIGMA_Z, basis, tg, taug)
+        assert np.max(np.abs(corr - expected)) < 1e-13
 
 
 class TestEvolveVolterra:
@@ -221,7 +244,7 @@ class TestEvolveVolterra:
             [np.kron(kernel.amplitudes[:, None], L),
              np.kron(np.diag(kernel.poles), eye) + np.kron(np.eye(n), L_H)]])
         ref = scipy.linalg.expm(h * gen)
-        phi = unsplit_step_map(model, kernel, h)
+        phi = np.eye(gen.shape[0]) + unsplit_expm1(model, kernel, h)
         assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_propagator_series_columns(self):
@@ -252,9 +275,9 @@ def random_generic_model(ensemble):
 class TestBlockedVolterra:
     """The blocked powers of the step map against the plain loop y <- Phi y.
 
-    B is the smallest power of two with B D >= S for each coupled set of D
-    components and its embedding size S, capped at the number of steps; the
-    grids straddle both the block length and the cap.  The models cover four
+    On these grids B is the smallest power of two with B D >= S for each
+    coupled set of D components and its embedding size S, capped at the
+    number of steps; the grids straddle both the block length and the cap.  The models cover four
     dephasing sets of one component, two sets of two (sigma_x), sets of
     unequal size (qutrit decay) and one set of four.
     """
@@ -304,10 +327,10 @@ class TestBlockedVolterra:
         model, kernel, _ = case
         L, L_H = dynamics.dissipator(model), dynamics.coherent_liouvillian(model)
         D, eps = L.shape[0], np.finfo(float).eps
-        whole = unsplit_step_map(model, kernel, self.H)
+        whole = unsplit_expm1(model, kernel, self.H)
         offsets = D * np.arange(kernel.n_modes + 1)[:, None]
         for group in dynamics._coupled_sets(L, L_H):
-            maps = dynamics._embedding_step_map(L, L_H, kernel, self.H, group)
+            maps = dynamics._embedding_expm1(L, L_H, kernel, self.H, group)
             for phi, members in zip(maps, group):
                 idx = (offsets + members).reshape(-1)
                 block = whole[np.ix_(idx, idx)]
@@ -319,13 +342,13 @@ class TestBlockedVolterra:
     @pytest.mark.parametrize("picture", ["interaction", "schroedinger"])
     def test_dephasing_builds_only_one_component_maps(self, monkeypatch, picture):
         seen = []
-        build = dynamics._embedding_step_map
+        build = dynamics._embedding_expm1
 
         def spy(L, L_H, kernel, h, sets):
             seen.append(sets.shape)
             return build(L, L_H, kernel, h, sets)
 
-        monkeypatch.setattr(dynamics, "_embedding_step_map", spy)
+        monkeypatch.setattr(dynamics, "_embedding_expm1", spy)
         model = nm.dephasing_model(nm.manifold_ensemble(1.0, 0.2, 0.3, 20), omega=1.3,
                                    picture=picture)
         tg = nm.time_grid(5.0, 50)

@@ -166,6 +166,84 @@ class TestPropagate:
             propagate(np.zeros((4, 4)), -1.0)
 
 
+def random_generators(rng, count, d=2):
+    """Lindblad generators of random H and one random jump, stacked (count, d^2, d^2)."""
+    return np.array([qops.hamiltonian_liouvillian(random_hermitian(rng, d))
+                     + qops.lindblad_dissipator([rng.normal(size=(d, d))])
+                     for _ in range(count)])
+
+
+class TestRateStack:
+    """Step maps in blocked powers against one dense expm per rate and time."""
+
+    GENS = random_generators(np.random.default_rng(11), 3)
+    WEIGHTS = np.array([0.2, 0.5, 0.3])
+
+    def dense(self, times, X):
+        return np.array([[propagate(g, t) @ x for g, x in zip(self.GENS, X)] for t in times])
+
+    @pytest.mark.parametrize("times", [[0.0], [2.5], np.linspace(0.0, 6.0, 101),
+                                       0.7 + 0.3 * np.arange(20)],
+                             ids=["zero", "single", "from_zero", "from_t0"])
+    def test_per_rate_and_average(self, times):
+        X = np.random.default_rng(4).normal(size=(3, 4, 2)) + 0j
+        stack = qops.generator_factorization(self.GENS, self.WEIGHTS)
+        ref = self.dense(times, X)
+        assert np.max(np.abs(stack.per_rate(times, X) - ref)) < 1e-13
+        mean = np.einsum("r,trdc->tdc", self.WEIGHTS, ref)
+        assert np.max(np.abs(stack.average(times, X) - mean)) < 1e-13
+        shared = np.einsum("r,trdc->tdc", self.WEIGHTS, self.dense(times, X[[0, 0, 0]]))
+        assert np.max(np.abs(stack.average(times, X[:1]) - shared)) < 1e-13
+
+    def test_round_off_does_not_grow_with_the_step_count(self):
+        # powers held as Phi^m - I round relative to Phi^m - I, not to
+        # Phi^m ~ I, so the error stays near round-off over thousands of steps
+        times = np.linspace(0.0, 6.0, 8001)
+        stack = qops.generator_factorization(self.GENS, self.WEIGHTS)
+        out = stack.per_rate(times, np.eye(4)[None])
+        for k in (1000, 4000, 8000):
+            ref = np.array([propagate(g, times[k]) for g in self.GENS])
+            assert np.max(np.abs(out[k] - ref)) < 4e-15
+
+    def test_slow_rate_keeps_its_accuracy_in_a_fast_stack(self):
+        # the fast rates set a scaling of 2^-3 for the whole stack; squared as
+        # Phi - I, the slow rate's Phi - I (about 1e-6) keeps its own accuracy
+        gens = self.GENS * np.array([1.0, 1e-6, 1.0])[:, None, None]
+        times = np.linspace(0.0, 4000.0, 8001)
+        out = qops.generator_factorization(gens, self.WEIGHTS).per_rate(times, np.eye(4)[None])
+        for k in (1000, 4000, 8000):
+            assert np.max(np.abs(out[k, 1] - propagate(gens[1], times[k]))) < 4e-15
+
+    @pytest.mark.parametrize("times", [[0.0, 0.4, 1.3], [1.0, 0.5], [0.0, np.nan], []])
+    def test_other_times_refused(self, times):
+        stack = qops.generator_factorization(self.GENS, self.WEIGHTS)
+        with pytest.raises(ValueError):
+            stack.average(times, np.eye(4)[None])
+
+    @pytest.mark.parametrize("nt", [0, 1, 2, 3, 8, 100])
+    def test_block_powers_match_plain_loop(self, nt):
+        # S == D, as for the rate stack: the block is still longer than one step
+        phi = np.array([propagate(g, 0.05) for g in self.GENS])
+        products = []
+
+        class Step(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.ndarray.__matmul__(self, other)
+
+        y0 = np.random.default_rng(6).normal(size=(3, 4, 2)) + 0j
+        out = qops.block_powers((phi - np.eye(4)).view(Step), y0, nt, 4)
+        y, ref = y0, [y0]
+        for _ in range(nt):
+            y = phi @ y
+            ref.append(y)
+        assert np.max(np.abs(out - np.array(ref))) < 1e-13
+        weighted = qops.block_powers(phi - np.eye(4), y0, nt, 4, self.WEIGHTS)
+        assert np.max(np.abs(weighted - np.einsum("r,trdc->tdc", self.WEIGHTS, ref))) < 1e-13
+        if nt >= 8:
+            assert len(products) < nt
+
+
 class TestResolvent:
     def test_zero_generator(self):
         R = resolvent(np.zeros((4, 4), dtype=complex), 2.0)

@@ -103,7 +103,7 @@ class TestTwoTimeCorrelation:
 
     def test_grids_match_scalar_calls(self):
         model = nm.ModelSpec(0.65 * SIGMA_Z, (SIGMA_X,), TWO_RATE, "schroedinger")
-        tg, taug = np.array([0.0, 0.4, 1.3]), np.array([0.0, 0.5, 2.0, 3.0])
+        tg, taug = np.array([0.2, 0.65, 1.1]), np.array([0.0, 0.75, 1.5, 2.25])
         grid = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, tg, taug)
         assert grid.shape == (4, 3, 4)
         assert qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, tg, 0.5).shape == (4, 3)
@@ -111,6 +111,12 @@ class TestTwoTimeCorrelation:
             for s, tau in enumerate(taug):
                 point = qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, t, tau)
                 assert np.max(np.abs(grid[:, k, s] - point)) < 1e-14
+
+    @pytest.mark.parametrize("t,tau", [([0.0, 0.4, 1.3], 0.5), (0.5, [0.0, 0.5, 2.0, 3.0])])
+    def test_non_arithmetic_grids_refused(self, t, tau):
+        model = nm.ModelSpec(0.65 * SIGMA_Z, (SIGMA_X,), TWO_RATE, "schroedinger")
+        with pytest.raises(ValueError, match="uniform"):
+            qrt.two_time_correlation(model, RHO_Y, SIGMA_Z, BASIS, t, tau)
 
     def test_two_rate_memory_correction(self):
         model = nm.dephasing_model(TWO_RATE)

@@ -412,6 +412,19 @@ class TestFractionalModel:
             rb.fractional_model(0.5, 1.0, 1.0, 1e7)
 
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.8])
+    @pytest.mark.parametrize("beta,tau", [(0.5, 5.0), (1.3, 12.0), (2.0, 50.0)])
+    def test_cutoff_solves_its_relation(self, alpha, beta, tau):
+        model = rb.fractional_model(alpha, 1.0, beta, tau)
+        residual = alpha * (beta / model.cutoff) ** (1.0 - alpha) - (tau - 1.0)
+        assert abs(residual) <= 1e-13
+
+    @pytest.mark.parametrize("alpha,tau", [(0.5, 1.001), (0.999, 1.001), (0.5, 1e7)],
+                             ids=["above", "overflow", "below"])
+    def test_cutoff_outside_range_refused(self, alpha, tau):
+        with pytest.raises(ValueError, match=r"no root in \[1e-12, 1e3\]: residual\(1e-12\)"):
+            rb.fractional_model(alpha, 1.0, 1.0, tau)
+
 class TestTalbot:
     def test_simple_pole(self):
         t = np.linspace(0.1, 4.0, 20)
