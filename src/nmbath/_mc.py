@@ -113,6 +113,24 @@ def sample_renewal_events(seed, n, t_max, rates, weights):
     return _sample_events(seed, n, t_max, rates, weights, renewal=True)
 
 
+def _grid_rows(tgrid, t):
+    """``np.searchsorted(tgrid, t, side="left")`` on a uniform grid, by division.
+
+    The guess ceil((t - t0) / h) is within one row of the answer on a grid
+    that ``dynamics._check_grid`` accepts; one comparison each way against
+    the grid itself then makes it exact.
+    """
+    nt = tgrid.size
+    scale = (nt - 1) / (tgrid[-1] - tgrid[0])
+    g = np.clip(np.ceil((t - tgrid[0]) * scale), 0, nt).astype(np.int64)
+    # padded[g] = tgrid[g - 1] and padded[g + 1] = tgrid[g]; NaN past the ends
+    # fails both comparisons, so the rows 0 and nt stay put
+    padded = np.concatenate(([np.nan], tgrid, [np.nan]))
+    g += padded[g + 1] < t
+    g -= padded[g] >= t
+    return g
+
+
 def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
     """Sum over trajectories of ``cols[N_i(t_k)]`` at every grid time t_k.
 
@@ -124,7 +142,7 @@ def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
     """
     n, nt, ncol = ev_off.size - 1, tgrid.size, cols.shape[0]
     # "left": an event exactly at t_k counts at t_k
-    g = np.searchsorted(tgrid, ev_times, side="left")
+    g = _grid_rows(tgrid, ev_times)
     after = np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
     hist = np.zeros(ncol, dtype=np.int64)
     hist[0] = n
@@ -181,7 +199,7 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, M):
     diff = flat.reshape(nt + 1, width)
     diff[0] = n * f0
     # "left": an event exactly at t_k counts at t_k
-    row = np.searchsorted(tgrid, ev_times, side="left")
+    row = _grid_rows(tgrid, ev_times)
     cols = np.arange(width)
     counts = np.diff(ev_off)
     phase_shape = (-1,) + (1,) * (state0.ndim - 1) + (lam.size,)
@@ -194,7 +212,8 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, M):
         while alive.size:
             k = ev_off[alive] + r
             ph = np.exp(np.outer(ev_times[k], lam)).reshape(phase_shape)
-            state = ((state * ph) @ M) * ph.conj()
+            # one 2-d product over all rows of the round, not a batch of small ones
+            state = ((state * ph).reshape(-1, lam.size) @ M).reshape(state.shape) * ph.conj()
             new = _moment_features(state)
             cell = row[k, None] * width + cols
             np.add.at(flat, cell.ravel(), (new - feat).ravel())
@@ -205,7 +224,7 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, M):
 
 
 def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forward"):
-    """Return (mean, standard error) over all trajectories at every grid time.
+    """Return (mean, standard error) over all trajectories at every uniform grid time.
 
     ``unitary`` is None for trivial inter-event evolution, else the pair
     (W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag.  ``composition``

@@ -51,7 +51,10 @@ CSV_CELLS = 1 << 16
 def write_csv(path, header, columns):
     """Columns are 1-d arrays of equal length; complex ones split into re/im.
 
-    One %-format writes each block of rows, at most CSV_CELLS values.
+    Every cell is its value as a double in ``%.16e``: ``nan``, ``inf``,
+    ``-inf`` and signed zeros included.  Rows are written in blocks of at
+    most CSV_CELLS values.  Each distinct bit pattern of a block is
+    formatted once, and the row template gathers the strings.
     """
     names, cols = [], []
     for name, col in zip(header, columns):
@@ -62,14 +65,17 @@ def write_csv(path, header, columns):
         else:
             names.append(name)
             cols.append(col)
-    table = np.column_stack(cols)
+    table = np.column_stack(cols).astype(np.float64, copy=False)
     rows = max(1, CSV_CELLS // table.shape[1])
-    row = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         for start in range(0, table.shape[0], rows):
             block = table[start:start + rows]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            # bit patterns keep -0.0 apart from 0.0 and one NaN from another
+            keys, inv = np.unique(block.ravel().view(np.int64), return_inverse=True)
+            text = ("%.16e," * keys.size % tuple(keys.view(np.float64).tolist())).split(",")
+            fh.write(row * block.shape[0] % tuple(np.array(text, dtype=object)[inv].tolist()))
 
 
 def _json_safe(obj):

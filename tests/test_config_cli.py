@@ -539,3 +539,24 @@ class TestCliContract:
         row = "%.16e,%.16e,%.16e\n"
         expected = "x,z_re,z_im\n" + "".join(row % v for v in zip(x, z.real, z.imag))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("cells", [None, 8], ids=["default_block", "two_row_blocks"])
+    def test_csv_formats_each_bit_pattern(self, tmp_path, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(cli, "CSV_CELLS", cells)
+        n_rows = cli.CSV_CELLS // 4 + 3
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                         0x7FF0000000000001, 0xFFF0000000000123], dtype=np.uint64)
+        mixed = np.concatenate([[0.0, -0.0, -0.0, 0.0, 1 / 3, -1 / 3], nans.view(np.float64)])
+        # signed zeros and NaN bit patterns side by side, a constant, integers
+        # (2**53 + 1 rounds as a double) and 1/3 in every block
+        x = np.resize(mixed, n_rows)
+        const = np.full(n_rows, 0.5)
+        count = np.arange(n_rows) + 2**53 - 3
+        third = np.full(n_rows, 1 / 3)
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), ["x", "c", "n", "r"], [x, const, count, third])
+        row = "%.16e,%.16e,%.16e,%.16e\n"
+        expected = "x,c,n,r\n" + "".join(
+            row % v for v in zip(x.tolist(), const.tolist(), count.tolist(), third.tolist()))
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -601,6 +601,17 @@ _EDGE_TIMES = [0.0, EDGE_GRID[3], 0.55, EDGE_GRID[7], EDGE_GRID[7], EDGE_GRID[10
 EDGE_STREAMS = ((_EDGE_TIMES, [0, 0, 6, 6, 7, 8]), (_EDGE_TIMES[:6], [0, 6]), ([], [0, 0]))
 
 
+@pytest.mark.parametrize("t_max", [1e-3, 0.037, 0.1, 1.0, 6.0, 20.0, 333.3, 1e4])
+def test_grid_rows_equal_searchsorted(t_max):
+    rng = np.random.default_rng(11)
+    for steps in (1, 2, 3, 7, 200, 400, 999, 1000, 2000, 4099, 20000):
+        tg = nm.time_grid(t_max, steps)
+        times = np.concatenate([tg, np.nextafter(tg, -np.inf), np.nextafter(tg, np.inf),
+                                [0.0, t_max, 5e-324], rng.uniform(0.0, 1.2 * t_max, 1000)])
+        np.testing.assert_array_equal(_mc._grid_rows(tg, times),
+                                      np.searchsorted(tg, times, side="left"))
+
+
 class TestCountHistogram:
     """Without coherent evolution the moments come from event-count histograms."""
 
