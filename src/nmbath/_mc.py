@@ -10,7 +10,9 @@ events:
   have had k events by each grid time.  The counts are exact integers.
 * ``eigenbasis`` - otherwise each trajectory is written in the eigenbasis of
   L_H, where its state is constant between events; each event adds the change
-  of the state and of its outer products to a difference array over the grid.
+  of the state and of the upper triangle of its rows' Hermitian outer
+  products to a difference array over the grid.  Trajectories lie on the
+  contiguous last axis, in order of event count.
 
 Event times come from a counter-based splitmix64 generator keyed by
 (seed, trajectory index): every trajectory's sample path is a pure function
@@ -25,9 +27,10 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# cells held at once: event-count histogram cells (grid times x counts), or
-# feature cells (trajectories x features) of one event round; bounds the
-# memory when some trajectory has thousands of events
+# cells held at once: event-count histogram cells (grid times x counts), whose
+# count axis grows with the most events of one trajectory; or feature cells
+# (trajectories x features) of one block of trajectories, with D^2 (D + 3) / 2
+# features per trajectory under the reversed string for states of size D
 HIST_CELLS = 1 << 16
 
 
@@ -80,11 +83,15 @@ def _sample_events(seed, n, t_max, rates, weights, renewal):
     cur = np.zeros(n)
     alive = np.arange(n)
     rounds_idx, rounds_t = [], []
-    max_rounds = int(1000 + 20.0 * t_max * max(float(np.max(rates)), 1.0))
+    max_rate = max(float(np.max(rates)), 1.0)
+    max_rounds = 1000 + 20.0 * t_max * max_rate
+    if max_rounds == np.inf:
+        raise RuntimeError(f"event sampling: t_max {t_max:.3g} times the largest rate "
+                           f"{max_rate:.3g} overflows")
     # a zero rate waits forever, which ends its trajectory; so does a rate so
     # small that its wait overflows
     with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(max_rounds):
+        for _ in range(int(max_rounds)):
             if alive.size == 0:
                 break
             s = state[alive]
@@ -172,54 +179,70 @@ def _mean_stderr(total_sum, total_sq, n):
     return mean, stderr
 
 
-def _moment_features(states):
-    """Each state and the outer products of its rows with their conjugates, one row per state."""
-    m = len(states)
-    outer = states[..., :, None] * states[..., None, :].conj()
-    return np.concatenate([states.reshape(m, -1), outer.reshape(m, -1)], axis=1)
+def _outer_triangle(F, D):
+    """Fill ``F[:, D:]`` with x_a conj(x_b), a <= b, of each row x = ``F[:, :D]``.
+
+    Those are the upper triangle of the Hermitian x x^dag, in
+    ``np.triu_indices(D)`` order; the trajectories lie on the last axis.
+    """
+    x = F[:, :D]
+    xc = x.conj()
+    j = D
+    for a in range(D):
+        np.multiply(x[:, a:a + 1], xc[:, a:], out=F[:, j:j + D - a])
+        j += D - a
 
 
-def _event_sums(tgrid, ev_times, ev_off, state0, lam, M):
-    """Sum over trajectories of ``_moment_features(state)`` at every grid time.
+def _event_sums(tgrid, ev_times, ev_off, state0, lam, A):
+    """Sums over trajectories of each state's features at every grid time.
 
-    Every trajectory starts in ``state0`` and changes state only at its
-    events: an event at time s maps the state X to (X D(s)) M D(-s), with
-    D(s) = diag(exp(lam s)) acting on the last axis.  The features are
-    therefore constant between events, so each event adds features(new) -
-    features(old) to a difference array at the first grid time t_g >= s, and
-    one running sum over time gives the sums.  Round r applies the r-th event
-    of every trajectory that has one; trajectories are taken in blocks of at
-    most ``HIST_CELLS`` feature cells, which bounds the temporaries of a round.
+    A state is a (rows, D) array; every trajectory starts in ``state0`` and
+    changes state only at its events, where each row x maps to D(-s) A D(s) x,
+    D(s) = diag(exp(lam s)).  The features of a row are x and the upper
+    triangle of x x^dag (:func:`_outer_triangle`), row after row.  They are
+    constant between events, so each event adds features(new) - features(old)
+    to a difference array at the first grid time t_g >= s, and one running sum
+    over time gives the sums.
+
+    Trajectories are sorted by event count (stable, descending) and taken in
+    blocks of at most ``HIST_CELLS`` feature cells, held as (rows, features,
+    m) with the m trajectories on the contiguous last axis.  Round r applies
+    the r-th event of every trajectory that has one; those are a prefix of the
+    block, so each round works on slices.
     """
     n, nt = ev_off.size - 1, tgrid.size
-    f0 = _moment_features(state0[None])[0]
-    width = f0.size
+    rows, D = state0.shape
+    nf = D + D * (D + 1) // 2
+    width = rows * nf
+    f0 = np.empty((rows, nf, 1), dtype=np.complex128)
+    f0[:, :D, 0] = state0
+    _outer_triangle(f0, D)
     # row nt collects the events past the grid
     flat = np.zeros((nt + 1) * width, dtype=np.complex128)
     diff = flat.reshape(nt + 1, width)
-    diff[0] = n * f0
+    diff[0] = n * f0.ravel()
     # "left": an event exactly at t_k counts at t_k
     row = _grid_rows(tgrid, ev_times)
-    cols = np.arange(width)
+    cols = np.arange(width).reshape(rows, nf, 1)
     counts = np.diff(ev_off)
-    phase_shape = (-1,) + (1,) * (state0.ndim - 1) + (lam.size,)
+    order = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
     block = max(1, HIST_CELLS // width)
-    for i0 in range(0, n, block):
-        alive = i0 + np.flatnonzero(counts[i0:i0 + block])
-        state = np.broadcast_to(state0, (alive.size,) + state0.shape)
-        feat = np.broadcast_to(f0, (alive.size, width))
-        r = 0
-        while alive.size:
-            k = ev_off[alive] + r
-            ph = np.exp(np.outer(ev_times[k], lam)).reshape(phase_shape)
-            # one 2-d product over all rows of the round, not a batch of small ones
-            state = ((state * ph).reshape(-1, lam.size) @ M).reshape(state.shape) * ph.conj()
-            new = _moment_features(state)
-            cell = row[k, None] * width + cols
-            np.add.at(flat, cell.ravel(), (new - feat).ravel())
-            r += 1
-            keep = counts[alive] > r
-            alive, state, feat = alive[keep], state[keep], new[keep]
+    # the features after this round's event, and the buffer of the next round
+    new_buf, next_buf = np.empty((2, width * min(block, order.size)), dtype=np.complex128)
+    for i0 in range(0, order.size, block):
+        idx = order[i0:i0 + block]
+        first = ev_off[idx]
+        # alive[r]: how many trajectories of the block have more than r events
+        alive = np.searchsorted(-counts[idx], -np.arange(counts[idx[0]]), side="left")
+        old = np.broadcast_to(f0, (rows, nf, idx.size))
+        for r, m in enumerate(alive):
+            k = first[:m] + r
+            ph = np.exp(lam[:, None] * ev_times[k])
+            new = new_buf[:width * m].reshape(rows, nf, m)
+            np.multiply(A @ (old[:, :D, :m] * ph), ph.conj(), out=new[:, :D])
+            _outer_triangle(new, D)
+            np.add.at(flat, (cols + row[k] * width).ravel(), (new - old[..., :m]).ravel())
+            old, new_buf, next_buf = new, next_buf, new_buf
     return np.cumsum(diff[:nt], axis=0)
 
 
@@ -269,18 +292,19 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
     E_eig = W.conj().T @ E @ W
     c0 = W.conj().T @ v0
     phases = np.exp(np.outer(tgrid, lam))
+    a, b = np.triu_indices(dsq)
+    # an off-diagonal entry of the triangle stands for itself and its conjugate
+    twice = np.where(a == b, 1.0, 2.0)
     if composition == "forward":
-        # c is held as a row, so the event map acts from the right as E'^T
-        sums = _event_sums(tgrid, ev_times, ev_off, c0, lam, E_eig.T)
+        sums = _event_sums(tgrid, ev_times, ev_off, c0[None], lam, E_eig)
         Y = W * phases[:, None, :]
         total_sum = np.einsum("kia,ka->ki", Y, sums[:, :dsq])
-        gram = sums[:, dsq:].reshape(nt, dsq, dsq)
-        total_sq = np.einsum("kia,kab,kib->ki", Y, gram, Y.conj()).real
+        tri = sums[:, dsq:] * twice
+        total_sq = np.einsum("kit,kt,kit->ki", Y[:, :, a], tri, Y[:, :, b].conj()).real
     else:
-        sums = _event_sums(tgrid, ev_times, ev_off, W, lam, E_eig)
+        # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
+        sums = _event_sums(tgrid, ev_times, ev_off, W, lam, E_eig.T).reshape(nt, dsq, -1)
         x = phases * c0
-        B = sums[:, :dsq * dsq].reshape(nt, dsq, dsq)
-        total_sum = np.einsum("kij,kj->ki", B, x)
-        gram = sums[:, dsq * dsq:].reshape(nt, dsq, dsq, dsq)
-        total_sq = np.einsum("kijl,kj,kl->ki", gram, x, x.conj()).real
+        total_sum = np.einsum("kij,kj->ki", sums[:, :, :dsq], x)
+        total_sq = np.einsum("kit,kt->ki", sums[:, :, dsq:], twice * x[:, a] * x[:, b].conj()).real
     return _mean_stderr(total_sum, total_sq, n)

@@ -201,16 +201,18 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
     Between events a trajectory evolves with a dense expm(gap L_H).  The
     "forward" string applies E at each event in time order; the "reversed"
     string is U(g_1) E U(g_2) E ... E U(t - s_N) v0 with the gaps g_j between
-    successive events.  An event at or before a grid time counts at it.
+    successive events.  An event at or before a grid time counts at it.  The
+    variance is taken about the mean, in a second pass over the trajectories,
+    so an entry that no trajectory varies has a standard error of round-off
+    size, not its square root.
     """
     dsq = v0.size
     eye = np.eye(dsq)
+    n = len(off) - 1
     # expm of zero is the identity; skipping it keeps large event-count tests fast
     U = (lambda gap: scipy.linalg.expm(gap * L_H)) if np.any(L_H) else (lambda gap: eye)
-    total = np.zeros((len(tgrid), dsq), dtype=complex)
-    total_sq = np.zeros((len(tgrid), dsq))
-    V = np.empty((len(tgrid), dsq), dtype=complex)
-    for i in range(len(off) - 1):
+    V = np.empty((n, len(tgrid), dsq), dtype=complex)
+    for i in range(n):
         events = iter(times[off[i]:off[i + 1]])
         s = next(events, np.inf)
         # V(t) = prefix U(t - last) v; forward moves v, reversed grows prefix
@@ -222,10 +224,12 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
                 else:
                     prefix = prefix @ U(s - last) @ E
                 last, s = s, next(events, np.inf)
-            V[k] = prefix @ (U(t - last) @ v)
-        total += V
-        total_sq += np.abs(V) ** 2
-    return _mc._mean_stderr(total, total_sq, len(off) - 1)
+            V[i, k] = prefix @ (U(t - last) @ v)
+    mean = V.mean(axis=0)
+    if n < 2:
+        return mean, np.zeros(mean.shape)
+    var = np.sum(np.abs(V - mean) ** 2, axis=0) / (n - 1)
+    return mean, np.sqrt(var / n)
 
 
 def unsplit_expm1(model, kernel, h):

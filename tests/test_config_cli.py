@@ -113,6 +113,11 @@ HOSTILE = {
     "unnormalized_jumps_mc": (JUMP_MATRICES_CFG.format("0,1;0,0") + "solver.methods = mc_frozen\n",
                               {"evolve": 2, "cpcheck": 0}),
     "qutrit_decay": (QUTRIT_CFG, {"evolve": 0, "correlate": 2}),
+    # t_max times the largest rate overflows the bound on the sampler's rounds
+    "mc_rate_t_max_overflow": (P_UP_CFG.format(0.5) + "ensemble.gamma_up = 1e300\n"
+                               "ensemble.gamma_down = 1\ngrid.t_max = 1e10\ngrid.steps = 10\n"
+                               "solver.methods = mc_frozen\nsolver.trajectories = 10\n",
+                               {"evolve": 3}),
 }
 
 

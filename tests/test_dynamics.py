@@ -676,30 +676,36 @@ class TestCountHistogram:
 class TestEigenbasisRoute:
     """With coherent evolution the moments are event-driven sums in the eigenbasis of L_H."""
 
-    V0 = qops.vectorize(RHO_XY)
+    # initial state by system dimension
+    V0 = {2: qops.vectorize(RHO_XY), 3: qops.vectorize(random_density(np.random.default_rng(13), 3))}
     ENSEMBLE = nm.rate_ensemble([1.5, 3.0, 0.7], [0.3, 0.3, 0.4])
 
     def models(self):
-        """sigma_x events with precession, and a random event map under a random H."""
+        """sigma_x events with precession, and random event maps under random H: d = 2 and 3."""
         rng = np.random.default_rng(12)
         A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return (sigma_x_model(self.ENSEMBLE, omega=1.7),
-                nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng), self.ENSEMBLE,
-                             "schroedinger"))
+        models = [sigma_x_model(self.ENSEMBLE, omega=1.7),
+                  nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng), self.ENSEMBLE,
+                               "schroedinger")]
+        # D = 9: each row of a state carries a 45-wide triangle of its outer product
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return models + [nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng, d=3),
+                                      self.ENSEMBLE, "schroedinger")]
 
     def moments(self, model, tg, times, off, composition):
-        return _mc.run_trajectories(self.V0, tg, times, off, dynamics._unitary_factorization(model),
+        return _mc.run_trajectories(self.V0[model.dim], tg, times, off,
+                                    dynamics._unitary_factorization(model),
                                     dynamics.event_map(model), composition=composition)
 
     def assert_matches_reference(self, model, tg, times, off, composition):
         mean, stderr = self.moments(model, tg, times, off, composition)
         ref_mean, ref_stderr = trajectory_moments(
-            self.V0, tg, times, off, dynamics.coherent_liouvillian(model),
+            self.V0[model.dim], tg, times, off, dynamics.coherent_liouvillian(model),
             dynamics.event_map(model), composition)
         assert np.max(np.abs(mean - ref_mean)) < 1e-12
         assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
 
-    @pytest.mark.parametrize("case", [0, 1], ids=["sigma_x", "random"])
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["sigma_x", "random", "qutrit"])
     def test_sampled_streams_both_schemes(self, case):
         model = self.models()[case]
         tg = nm.time_grid(3.0, 30)
@@ -728,6 +734,24 @@ class TestEigenbasisRoute:
         for (times, off), composition in streams:
             one_each = self.moments(model, tg, times, off, composition)
             for a, b in zip(whole.pop(0), one_each):
+                assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_blocks_split_count_groups(self, monkeypatch):
+        # blocks of 7 trajectories in count order: ragged, and tied counts straddle blocks
+        model = self.models()[1]
+        tg = nm.time_grid(3.0, 30)
+        rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
+        dsq = model.dim ** 2
+        for sample, seed, composition, rows in ((_mc.sample_frozen_events, 7, "forward", 1),
+                                                (_mc.sample_renewal_events, 4, "reversed", dsq)):
+            times, off = sample(seed, 1000, tg[-1], rates, weights)
+            groups = np.bincount(np.diff(off))
+            assert 1000 % 7 and np.all(groups[groups > 0] % 7)
+            whole = self.moments(model, tg, times, off, composition)
+            monkeypatch.setattr(_mc, "HIST_CELLS", 7 * rows * (dsq + dsq * (dsq + 1) // 2))
+            sevens = self.moments(model, tg, times, off, composition)
+            monkeypatch.undo()
+            for a, b in zip(whole, sevens):
                 assert np.max(np.abs(a - b)) < 1e-14
 
 
