@@ -168,28 +168,28 @@ def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
     return out
 
 
-def _mean_stderr(total_sum, total_sq, n):
-    """Per-entry mean and standard error from the sums of z and |z|^2 over n trajectories."""
-    mean = total_sum / n
+def _mean_stderr(ref, dev_sum, dev_sq, n):
+    """Mean and standard error per entry from the sums of y = z - ref and |y|^2 over n."""
+    dev = dev_sum / n
     if n > 1:
-        var = np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) * (n / (n - 1))
+        var = np.maximum(dev_sq / n - np.abs(dev) ** 2, 0.0) * (n / (n - 1))
         stderr = np.sqrt(var / n)
     else:
-        stderr = np.zeros_like(total_sq)
-    return mean, stderr
+        stderr = np.zeros_like(dev_sq)
+    return ref + dev, stderr
 
 
-def _outer_triangle(F, D):
-    """Fill ``F[:, D:]`` with x_a conj(x_b), a <= b, of each row x = ``F[:, :D]``.
+def _outer_triangle(F, y):
+    """Fill ``F[:, D:]`` with y_a conj(y_b), a <= b, of each row of ``y`` (rows, D, m).
 
-    Those are the upper triangle of the Hermitian x x^dag, in
+    Those are the upper triangle of the Hermitian y y^dag, in
     ``np.triu_indices(D)`` order; the trajectories lie on the last axis.
     """
-    x = F[:, :D]
-    xc = x.conj()
+    D = y.shape[1]
+    yc = y.conj()
     j = D
     for a in range(D):
-        np.multiply(x[:, a:a + 1], xc[:, a:], out=F[:, j:j + D - a])
+        np.multiply(y[:, a:a + 1], yc[:, a:], out=F[:, j:j + D - a])
         j += D - a
 
 
@@ -199,10 +199,12 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, A):
     A state is a (rows, D) array; every trajectory starts in ``state0`` and
     changes state only at its events, where each row x maps to D(-s) A D(s) x,
     D(s) = diag(exp(lam s)).  The features of a row are x and the upper
-    triangle of x x^dag (:func:`_outer_triangle`), row after row.  They are
-    constant between events, so each event adds features(new) - features(old)
-    to a difference array at the first grid time t_g >= s, and one running sum
-    over time gives the sums.
+    triangle of y y^dag (:func:`_outer_triangle`), row after row, where
+    y = x - x0 is the change of the row from its row x0 of ``state0``.  They
+    are constant between events, so each event adds features(new) -
+    features(old) to a difference array at the first grid time t_g >= s, and
+    one running sum over time, from 0, gives the sums of y and of the
+    triangle: all 0 until the first event.
 
     Trajectories are sorted by event count (stable, descending) and taken in
     blocks of at most ``HIST_CELLS`` feature cells, held as (rows, features,
@@ -210,17 +212,17 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, A):
     the r-th event of every trajectory that has one; those are a prefix of the
     block, so each round works on slices.
     """
-    n, nt = ev_off.size - 1, tgrid.size
+    nt = tgrid.size
     rows, D = state0.shape
     nf = D + D * (D + 1) // 2
     width = rows * nf
-    f0 = np.empty((rows, nf, 1), dtype=np.complex128)
-    f0[:, :D, 0] = state0
-    _outer_triangle(f0, D)
+    x0 = state0[:, :, None]
+    # the features before the first event: x0, and a zero triangle
+    f0 = np.zeros((rows, nf, 1), dtype=np.complex128)
+    f0[:, :D] = x0
     # row nt collects the events past the grid
     flat = np.zeros((nt + 1) * width, dtype=np.complex128)
     diff = flat.reshape(nt + 1, width)
-    diff[0] = n * f0.ravel()
     # "left": an event exactly at t_k counts at t_k
     row = _grid_rows(tgrid, ev_times)
     cols = np.arange(width).reshape(rows, nf, 1)
@@ -240,7 +242,7 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, A):
             ph = np.exp(lam[:, None] * ev_times[k])
             new = new_buf[:width * m].reshape(rows, nf, m)
             np.multiply(A @ (old[:, :D, :m] * ph), ph.conj(), out=new[:, :D])
-            _outer_triangle(new, D)
+            _outer_triangle(new, new[:, :D] - x0)
             np.add.at(flat, (cols + row[k] * width).ravel(), (new - old[..., :m]).ravel())
             old, new_buf, next_buf = new, next_buf, new_buf
     return np.cumsum(diff[:nt], axis=0)
@@ -264,6 +266,11 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
       event from c = W^dag v0;
     * reversed: v(t) = B (exp(lam t) * W^dag v0), with B <- B D(s) E' D(-s)
       at each event from B = W.
+
+    Both routes sum the moments of v(t) - a(t), where a(t) is the trajectory
+    without events (v0, or W (exp(lam t) * W^dag v0)), and add a(t) back to
+    the mean: the standard error is exactly 0 where no trajectory has left
+    a(t), not the square root of round-off.
     """
     if composition not in ("forward", "reversed"):
         raise ValueError(f"unknown composition {composition!r}")
@@ -282,29 +289,32 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
         powers[0] = v0
         for k in range(1, len(powers)):
             powers[k] = E @ powers[k - 1]
-        # columns: Re and Im of E^k v0 interleaved, then |E^k v0|^2
+        powers -= v0
+        # columns: Re and Im of E^k v0 - v0 interleaved, then |E^k v0 - v0|^2
         cols = np.hstack([powers.view(np.float64), powers.real**2 + powers.imag**2])
         sums = _count_histogram_sums(cols, tgrid, ev_times, ev_off)
-        total_sum = np.ascontiguousarray(sums[:, :2 * dsq]).view(np.complex128)
-        return _mean_stderr(total_sum, sums[:, 2 * dsq:], n)
+        dev_sum = np.ascontiguousarray(sums[:, :2 * dsq]).view(np.complex128)
+        return _mean_stderr(v0, dev_sum, sums[:, 2 * dsq:], n)
 
     W, lam = (np.asarray(a, dtype=np.complex128) for a in unitary)
     E_eig = W.conj().T @ E @ W
     c0 = W.conj().T @ v0
     phases = np.exp(np.outer(tgrid, lam))
+    x = phases * c0
+    # the trajectory without events, W (exp(lam t) * c0), under both strings
+    ref = x @ W.T
     a, b = np.triu_indices(dsq)
     # an off-diagonal entry of the triangle stands for itself and its conjugate
     twice = np.where(a == b, 1.0, 2.0)
     if composition == "forward":
         sums = _event_sums(tgrid, ev_times, ev_off, c0[None], lam, E_eig)
         Y = W * phases[:, None, :]
-        total_sum = np.einsum("kia,ka->ki", Y, sums[:, :dsq])
+        dev_sum = np.einsum("kia,ka->ki", Y, sums[:, :dsq])
         tri = sums[:, dsq:] * twice
-        total_sq = np.einsum("kit,kt,kit->ki", Y[:, :, a], tri, Y[:, :, b].conj()).real
+        dev_sq = np.einsum("kit,kt,kit->ki", Y[:, :, a], tri, Y[:, :, b].conj()).real
     else:
         # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
         sums = _event_sums(tgrid, ev_times, ev_off, W, lam, E_eig.T).reshape(nt, dsq, -1)
-        x = phases * c0
-        total_sum = np.einsum("kij,kj->ki", sums[:, :, :dsq], x)
-        total_sq = np.einsum("kit,kt->ki", sums[:, :, dsq:], twice * x[:, a] * x[:, b].conj()).real
-    return _mean_stderr(total_sum, total_sq, n)
+        dev_sum = np.einsum("kij,kj->ki", sums[:, :, :dsq], x)
+        dev_sq = np.einsum("kit,kt->ki", sums[:, :, dsq:], twice * x[:, a] * x[:, b].conj()).real
+    return _mean_stderr(ref, dev_sum, dev_sq, n)

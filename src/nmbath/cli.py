@@ -22,7 +22,7 @@ from .config import ConfigError
 from .dynamics import (
     MCConfig,
     SolverError,
-    event_map,
+    dephasing_jumps,
     evolve_ensemble,
     evolve_volterra,
     ensemble_propagator_series,
@@ -218,7 +218,7 @@ def cmd_evolve(args):
     model = cfgmod.build_model(cfg)
     if any(m.startswith("mc_") for m in methods):
         try:
-            event_map(model)
+            model.E
         except ValueError as exc:
             raise ConfigError(f"key 'model.jump_matrices': {exc}; "
                               "the mc_* solvers need sum V^dag V = I") from None
@@ -313,14 +313,8 @@ def cmd_correlate(args):
 
 
 def _is_dephasing(model):
-    from .dynamics import dephasing_jumps
-
-    if model.picture != "interaction" or model.dim != 2 or len(model.jumps) != 2:
-        return False
-    ref = dephasing_jumps()
-    direct = all(np.allclose(a, b) for a, b in zip(model.jumps, ref))
-    swapped = all(np.allclose(a, b) for a, b in zip(model.jumps, ref[::-1]))
-    return direct or swapped
+    """True when a two-level model runs the dephasing preset's generator: L_H = 0 and its L."""
+    return not model.L_H.any() and np.allclose(model.L, qops.lindblad_dissipator(dephasing_jumps()))
 
 
 def cmd_cpcheck(args):
@@ -415,7 +409,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ValueError, RuntimeError, FloatingPointError) as exc:
+    except (SolverError, ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -24,6 +24,7 @@ Three mutually validating routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,9 @@ class ModelSpec:
     ``picture = "interaction"`` drops the coherent term from all generators.
     That is exact only when the dissipator commutes with L_H (as for
     dephasing), so the picture is refused otherwise.
+
+    Its superoperators L, L_H and E (L = E - I for normalized jumps) are
+    built on first use, once per model, and are read-only.
     """
 
     hamiltonian: np.ndarray
@@ -60,8 +64,7 @@ class ModelSpec:
             raise ValueError(f"picture must be one of {PICTURES}")
         if self.picture == "interaction":
             L_H = qops.hamiltonian_liouvillian(self.hamiltonian)
-            L = dissipator(self)
-            defect = np.max(np.abs(L_H @ L - L @ L_H))
+            defect = np.max(np.abs(L_H @ self.L - self.L @ L_H))
             if defect > COMMUTATOR_TOL:
                 raise ValueError(
                     f"jumps do not commute with H (max |[L_H, L]| = {defect:.3e}), so the "
@@ -71,6 +74,28 @@ class ModelSpec:
     @property
     def dim(self):
         return self.hamiltonian.shape[0]
+
+    @cached_property
+    def L(self):
+        """The dissipator."""
+        return _read_only(qops.lindblad_dissipator(self.jumps, dim=self.dim))
+
+    @cached_property
+    def L_H(self):
+        """The coherent generator -i[H, .]; identically zero in the interaction picture."""
+        if self.picture == "interaction":
+            return _read_only(np.zeros((self.dim ** 2,) * 2, dtype=complex))
+        return _read_only(qops.hamiltonian_liouvillian(self.hamiltonian))
+
+    @cached_property
+    def E(self):
+        """The event map; raises ValueError when the jumps are not normalized."""
+        return _read_only(qops.jump_superoperator(self.jumps))
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def dephasing_jumps():
@@ -87,32 +112,11 @@ def dephasing_model(ensemble, omega=1.0, picture="interaction"):
     return ModelSpec(0.5 * omega * SIGMA_Z, dephasing_jumps(), ensemble, picture)
 
 
-def coherent_liouvillian(model: ModelSpec):
-    """L_H of the model; identically zero in the interaction picture."""
-    d = model.dim
-    if model.picture == "interaction":
-        return np.zeros((d * d, d * d), dtype=complex)
-    return qops.hamiltonian_liouvillian(model.hamiltonian)
-
-
-def dissipator(model: ModelSpec):
-    return qops.lindblad_dissipator(model.jumps, dim=model.dim)
-
-
-def event_map(model: ModelSpec):
-    """E with L = E - I; raises when the jumps are not normalized."""
-    return qops.jump_superoperator(model.jumps)
-
-
-def generator(model: ModelSpec, rate):
-    """Fixed-rate Lindblad generator L_H + gamma * L; a stack (R, D, D) for an array of rates."""
-    return coherent_liouvillian(model) + np.multiply.outer(rate, dissipator(model))
-
-
 def rate_stack(model: ModelSpec):
     """One factorization of the generator stack {G_R} with the ensemble weights."""
     ens = model.ensemble
-    return qops.generator_factorization(generator(model, ens.rates), ens.weights)
+    return qops.generator_factorization(model.L_H + np.multiply.outer(ens.rates, model.L),
+                                        ens.weights)
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,7 @@ def _volterra_run(model, x0, tgrid, kernel):
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("Volterra integration must start at t = 0")
-    L, L_H = dissipator(model), coherent_liouvillian(model)
+    L, L_H = model.L, model.L_H
     nt = tgrid.size - 1
     out = np.empty((nt + 1,) + x0.shape, dtype=complex)
     for group in _coupled_sets(L, L_H):
@@ -296,14 +300,17 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig):
     """Monte Carlo unraveling; returns the averaged result with standard errors.
 
     Standard errors are per matrix entry: sqrt(var/n) with the complex sample
-    variance E|z|^2 - |Ez|^2.  ``meta["route"]`` is "count_histogram" when
-    nothing evolves between events and "eigenbasis" otherwise.
+    variance E|y|^2 - |Ey|^2 of y = z - a(t), where a(t) = exp(t L_H) v0 is
+    the trajectory without events.  So an entry that no trajectory has moved
+    off a(t), as at t = 0, has a standard error of exactly 0.
+    ``meta["route"]`` is "count_histogram" when nothing evolves between
+    events (L_H identically zero) and "eigenbasis" otherwise.
     """
     rho0 = qops.require_density_matrix(rho0)
     tgrid, _ = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("MC grids must start at t = 0")
-    E = event_map(model)
+    E = model.E
     rates = model.ensemble.rates
     weights = model.ensemble.weights
     t_max = float(tgrid[-1])
@@ -318,10 +325,7 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig):
         # reversed string: its renewal average solves the effective equation
         tag, composition = "mc_renewal", "reversed"
 
-    if model.picture == "interaction" or np.max(np.abs(model.hamiltonian)) == 0.0:
-        unitary = None
-    else:
-        unitary = _unitary_factorization(model)
+    unitary = _unitary_factorization(model) if model.L_H.any() else None
 
     mean, stderr = _mc.run_trajectories(
         qops.vectorize(rho0), tgrid, ev_times, ev_off, unitary, E, composition=composition)

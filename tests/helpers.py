@@ -65,17 +65,22 @@ def resolvent(gen, u):
     return out
 
 
+def generator(model, rate):
+    """Fixed-rate Lindblad generator L_H + gamma * L; a stack (R, D, D) for an array of rates."""
+    return model.L_H + np.multiply.outer(rate, model.L)
+
+
 def exact_memory_superop(model, u):
     """Memory superoperator in the Laplace domain.
 
     Solves <G_R(u)> LL(u) = <G_R(u) L_R> for LL(u), with G_R the fixed-rate
     resolvent.  For a single rate this is gamma * L independent of u.
     """
-    L = dynamics.dissipator(model)
+    L = model.L
     avg = np.zeros_like(L)
     avg_rate = np.zeros_like(L)
     for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        G = resolvent(dynamics.generator(model, rate), u)
+        G = resolvent(generator(model, rate), u)
         avg += weight * G
         avg_rate += weight * (G @ (rate * L))
     try:
@@ -116,7 +121,7 @@ def ensemble_propagators(model, tgrid):
     """sum_R P_R exp(t G_R) at every time, one dense expm per rate and time."""
     out = 0.0
     for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-        gen = dynamics.generator(model, rate)
+        gen = generator(model, rate)
         out = out + weight * np.array([propagate(gen, t) for t in tgrid])
     return out
 
@@ -161,7 +166,7 @@ def heisenberg_generator(model, rate, basis):
     in the given complete basis.
     """
     T, cols, gram_inv = qrt._basis_matrices(basis)
-    return T @ dynamics.generator(model, rate) @ (cols @ gram_inv)
+    return T @ generator(model, rate) @ (cols @ gram_inv)
 
 
 def stationary_state(model, rho0):
@@ -172,7 +177,7 @@ def stationary_state(model, rho0):
     """
     rho0 = qops.require_density_matrix(rho0)
     avg = np.tensordot(model.ensemble.weights,
-                       dynamics.generator(model, model.ensemble.rates), axes=1)
+                       generator(model, model.ensemble.rates), axes=1)
     w, V = np.linalg.eig(avg)
     left = np.linalg.inv(V)
     scale = max(1.0, float(np.max(np.abs(w))))
@@ -234,7 +239,7 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
 
 def unsplit_expm1(model, kernel, h):
     """Phi - I for the step map Phi of the whole embedding, every component of x in one set."""
-    L, L_H = dynamics.dissipator(model), dynamics.coherent_liouvillian(model)
+    L, L_H = model.L, model.L_H
     return dynamics._embedding_expm1(L, L_H, kernel, h, np.arange(L.shape[0])[None])[0]
 
 

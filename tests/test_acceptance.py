@@ -182,8 +182,8 @@ def test_criterion_07_qrt_residual():
 def test_criterion_08_exact_memory_superoperator():
     ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
     model = nm.dephasing_model(ens, omega=1.0, picture="schroedinger")
-    L = dynamics.dissipator(model)
-    L_H = dynamics.coherent_liouvillian(model)
+    L = model.L
+    L_H = model.L_H
     dec = nm.kernel_decompose(ens)
     test_points = [0.5, 1.0, 2.0, 4.0, 0.8 + 0.5j, 2.0 + 1.0j,
                    1.5 - 0.7j, 3.0 + 2.0j, 0.6 + 0.1j, 5.0 - 1.0j]
@@ -196,7 +196,7 @@ def test_criterion_08_exact_memory_superoperator():
 
     gamma = 1.3
     single = nm.dephasing_model(single_rate_ensemble(gamma))
-    Ls = dynamics.dissipator(single)
+    Ls = single.L
     for u in (0.7, 2.0 + 1.0j):
         assert np.max(np.abs(exact_memory_superop(single, u) - gamma * Ls)) < 1e-10
     report("08 exact memory superoperator")

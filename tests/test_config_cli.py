@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from nmbath import cli, config as cfgmod
+from nmbath import cli, config as cfgmod, qops
 from nmbath.config import ConfigError
 
 from helpers import normalize
@@ -45,6 +47,11 @@ H_MATRIX_3X3_CFG = (P_UP_CFG.format(0.5) + "model.hamiltonian = matrix\n"
 # qutrit decay |2> -> |1> -> |0>: every solver takes it, correlate only two-level models
 QUTRIT_CFG = (H_MATRIX_3X3_CFG + "model.jumps = matrix\n"
               "model.jump_matrices = 0,1,0;0,0,1;0,0,0\n")
+
+# 1/sqrt(2) to 16 digits: sigma_z / sqrt(2) and I / sqrt(2) in config matrices
+HALF = "0.7071067811865476"
+PRECESSION_MODEL_CFG = ("model.omega = 1.3\nmodel.jumps = matrix\nmodel.jump_matrices = 0,1;1,0\n"
+                        "model.picture = schroedinger\n")
 
 FITPOW_WINDOW_CFG = "fitpow.window_lo = {}\nfitpow.window_hi = {}\n"
 S_MATRIX_CFG = P_UP_CFG.format(0.5) + "correlate.s_operator = matrix\ncorrelate.s_matrix = {}\n"
@@ -371,6 +378,20 @@ class TestEvolveCommand:
         summary = load_json(os.path.join(out, "evolve_summary.json"))
         assert set(summary["mc_max_z"]) == {"mc_frozen"}
 
+    @pytest.mark.parametrize("model_cfg", ["", PRECESSION_MODEL_CFG],
+                             ids=["dephasing", "precession"])
+    def test_each_superoperator_built_once(self, tmp_path, monkeypatch, model_cfg):
+        calls = {"lindblad_dissipator": 0, "jump_superoperator": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(qops, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(qops, name, spy)
+        text = TWO_STATE_CFG.replace("ensemble,volterra", "ensemble,volterra,mc_frozen,mc_renewal")
+        cfg = write_cfg(tmp_path, text.replace("grid.steps = 200", "grid.steps = 20") + model_cfg)
+        assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        assert calls == {"lindblad_dissipator": 1, "jump_superoperator": 1}
+
     def test_empty_solver_list_is_noop(self, tmp_path, capsys):
         text = TWO_STATE_CFG.replace("ensemble,volterra", "")
         cfg = write_cfg(tmp_path, text)
@@ -412,6 +433,26 @@ class TestCorrelateCommand:
         assert abs(magnitude - 0.013520) < 1e-6
         summary = load_json(os.path.join(out, "correlate_summary.json"))
         assert summary["dephasing_closed_form_max_error"] < 1e-8
+
+    @pytest.mark.parametrize("model_cfg,closed_form", [
+        (f"model.jumps = matrix\nmodel.jump_matrices = {HALF},0;0,-{HALF}\n", True),
+        (f"model.jumps = matrix\nmodel.jump_matrices = {HALF},0;0,{HALF} | {HALF},0;0,-{HALF}\n",
+         True),
+        ("model.picture = schroedinger\nmodel.omega = 0\n", True),
+        ("model.picture = schroedinger\nmodel.omega = 1.3\n", False),
+    ], ids=["one_jump", "swapped_pair", "schroedinger_omega_0", "schroedinger_omega_1.3"])
+    def test_closed_form_follows_the_generator(self, tmp_path, model_cfg, closed_form):
+        # the closed form holds whenever L_H = 0 and L is the dephasing dissipator
+        text = "ensemble.type = custom\nensemble.rates = 1.0,2.0\n" \
+               "ensemble.weights = 0.5,0.5\ngrid.t_max = 2.0\ngrid.corr_t_steps = 4\n" \
+               "grid.tau_max = 2.0\ngrid.tau_steps = 4\n" + model_cfg
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert run_cli("correlate", "--config", cfg, "--out", out) == 0
+        summary = load_json(os.path.join(out, "correlate_summary.json"))
+        assert ("dephasing_closed_form_max_error" in summary) == closed_form
+        if closed_form:
+            assert summary["dephasing_closed_form_max_error"] < 1e-8
 
     def test_asymptotic_validity_flag(self, tmp_path):
         text = "ensemble.type = custom\nensemble.rates = 1.0,2.0\n" \
@@ -468,6 +509,21 @@ class TestCliContract:
         cfg = write_cfg(tmp_path, OVERFLOW_RATES_CFG)
         assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def test_memory_error_exits_3_with_one_line(self, tmp_path):
+        # 3e8 fitpow times need 2.2 GiB; the child caps its own address space at
+        # 1.5 GB before numpy loads, so the run must never go without the cap
+        cfg = write_cfg(tmp_path, MANIFOLD_CFG + "fitpow.points = 300000000\n")
+        argv = ["fitpow", "--config", cfg, "--out", str(tmp_path / "out")]
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+                f"from nmbath import cli\nsys.exit(cli.main({argv!r}))\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("runtime error: ") and proc.stderr.count("\n") == 1
 
     def test_seed_override_changes_output(self, tmp_path):
         text = TWO_STATE_CFG.replace("ensemble,volterra", "mc_frozen")

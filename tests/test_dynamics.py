@@ -9,8 +9,8 @@ import nmbath as nm
 from nmbath import _mc, cli, dynamics, qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
-from helpers import (apply_superop, ensemble_propagators, exact_memory_superop, propagate,
-                     single_rate_ensemble, trajectory_moments, unsplit_expm1,
+from helpers import (apply_superop, ensemble_propagators, exact_memory_superop, generator,
+                     propagate, single_rate_ensemble, trajectory_moments, unsplit_expm1,
                      volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
@@ -40,13 +40,43 @@ def max_z(mc, ref_states, atol=1e-8):
     return float(np.max(np.abs(mc.states - ref_states) / (mc.stderr + atol)))
 
 
+class TestModelSpec:
+    def test_superoperators_built_once_and_read_only(self):
+        model = sigma_x_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
+        for name in ("L", "L_H", "E"):
+            value = getattr(model, name)
+            assert getattr(model, name) is value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, np.zeros_like(value))
+            with pytest.raises(ValueError, match="read-only"):
+                value[0, 0] = 1.0
+
+    @pytest.mark.parametrize("picture", ["interaction", "schroedinger"])
+    def test_superoperators_of_the_jumps_and_hamiltonian(self, picture):
+        model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0), omega=1.3,
+                                   picture=picture)
+        H_part = qops.hamiltonian_liouvillian(model.hamiltonian)
+        assert np.array_equal(model.L_H, H_part if picture == "schroedinger" else 0 * H_part)
+        assert np.array_equal(model.L, qops.lindblad_dissipator(model.jumps))
+        assert np.array_equal(model.E, qops.jump_superoperator(model.jumps))
+        assert np.allclose(model.L, model.E - np.eye(4), atol=1e-15)
+
+    def test_event_map_of_unnormalized_jumps_raises_on_use(self):
+        # the deterministic solvers take such jumps; only E refuses them
+        model = nm.ModelSpec(0.5 * SIGMA_Z, (SIGMA_Z / 2.0,), single_rate_ensemble(1.0))
+        nm.evolve_ensemble(model, RHO_PLUS, nm.time_grid(1.0, 10))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not normalized"):
+                model.E
+
+
 class TestEvolveEnsemble:
     def test_single_rate_matches_fixed_lindblad(self):
         gamma = 1.3
         model = nm.dephasing_model(single_rate_ensemble(gamma))
         tg = nm.time_grid(5.0, 200)
         res = nm.evolve_ensemble(model, RHO_PLUS, tg)
-        gen = dynamics.generator(model, gamma)
+        gen = generator(model, gamma)
         for k in (0, 50, 200):
             direct = apply_superop(propagate(gen, tg[k]), RHO_PLUS)
             assert np.max(np.abs(res.states[k] - direct)) < 1e-12
@@ -117,7 +147,7 @@ class TestExpmFallback:
         v0 = qops.vectorize(RHO_XY)
         actual = 0.0
         for rate, weight in zip(model.ensemble.rates, model.ensemble.weights):
-            gen = dynamics.generator(model, rate)
+            gen = generator(model, rate)
             seeds = np.array([R_S @ propagate(gen, t) @ v0 for t in tg])
             props = np.array([propagate(gen, tau) for tau in taug])
             actual = actual + weight * np.einsum("mi,sij,kj->ksm", T, props, seeds)
@@ -205,8 +235,8 @@ class TestEvolveVolterra:
         tg = nm.time_grid(40.0, 8000)
         vol = nm.evolve_volterra(model, RHO_PLUS, tg)
         x = vol.states.reshape(tg.size, -1, order="F")
-        L = dynamics.dissipator(model)
-        L_H = dynamics.coherent_liouvillian(model)
+        L = model.L
+        L_H = model.L_H
         dec = nm.kernel_decompose(ens)
         eye = np.eye(L.shape[0])
         for u in (1.0, 2.0):
@@ -236,8 +266,8 @@ class TestEvolveVolterra:
         model = (sigma_x_model(ens) if case == "sigma_x"
                  else nm.dephasing_model(ens, omega=1.3, picture="schroedinger"))
         kernel = nm.kernel_decompose(ens)
-        L = dynamics.dissipator(model)
-        L_H = dynamics.coherent_liouvillian(model)
+        L = model.L
+        L_H = model.L_H
         n, eye = kernel.n_modes, np.eye(L.shape[0])
         gen = np.block([
             [L_H + kernel.markov_weight * L, np.tile(eye, n)],
@@ -325,7 +355,7 @@ class TestBlockedVolterra:
         # and the whole one may take BLAS kernels that round differently
         # (fused or separate multiply-add), by a few units in the last place
         model, kernel, _ = case
-        L, L_H = dynamics.dissipator(model), dynamics.coherent_liouvillian(model)
+        L, L_H = model.L, model.L_H
         D, eps = L.shape[0], np.finfo(float).eps
         whole = unsplit_expm1(model, kernel, self.H)
         offsets = D * np.arange(kernel.n_modes + 1)[:, None]
@@ -416,15 +446,15 @@ class TestExactMemorySuperop:
     def test_single_rate_is_rate_times_dissipator(self):
         gamma = 1.3
         model = nm.dephasing_model(single_rate_ensemble(gamma))
-        L = dynamics.dissipator(model)
+        L = model.L
         for u in (0.5, 2.0 + 1.0j):
             assert np.max(np.abs(exact_memory_superop(model, u) - gamma * L)) < 1e-10
 
     def test_dephasing_full_kernel_identity(self):
         ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
         model = nm.dephasing_model(ens, omega=0.9, picture="schroedinger")
-        L = dynamics.dissipator(model)
-        LH = dynamics.coherent_liouvillian(model)
+        L = model.L
+        LH = model.L_H
         dec = nm.kernel_decompose(ens)
         for u in (1.0, 2.0 + 1.0j):
             M = u * np.eye(4) - LH
@@ -438,7 +468,7 @@ class TestExactMemorySuperop:
         ens = nm.rate_ensemble([0.7, 1.9, 3.1], [0.3, 0.4, 0.3])
         model = nm.dephasing_model(ens)
         st = nm.stats(ens)
-        L = dynamics.dissipator(model)
+        L = model.L
         LL = exact_memory_superop(model, 1e6)
         assert np.max(np.abs(LL - st.mean_rate * L)) < 1e-4
 
@@ -498,6 +528,18 @@ class TestMonteCarlo:
             mc = nm.mc_trajectories(model, RHO_XY, tg, nm.MCConfig(20000, 29, scheme))
             assert mc.meta["route"] == "eigenbasis"
             assert max_z(mc, exact.states) < 3.0
+
+    def test_hamiltonian_times_identity_takes_count_histogram(self):
+        # H = 0.7 I gives L_H = 0: nothing evolves between events
+        ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
+        tg = nm.time_grid(3.0, 30)
+        shifted, bare = (nm.ModelSpec(c * IDENTITY_2, nm.dephasing_jumps(), ens, "schroedinger")
+                         for c in (0.7, 0.0))
+        for scheme in ("frozen_rate", "renewal"):
+            a = nm.mc_trajectories(shifted, RHO_XY, tg, nm.MCConfig(3000, 5, scheme))
+            b = nm.mc_trajectories(bare, RHO_XY, tg, nm.MCConfig(3000, 5, scheme))
+            assert a.meta["route"] == b.meta["route"] == "count_histogram"
+            assert np.array_equal(a.states, b.states) and np.array_equal(a.stderr, b.stderr)
 
     def test_stderr_scaling(self):
         model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
@@ -634,7 +676,7 @@ class TestCountHistogram:
     def test_sampled_streams_both_schemes(self, rates, weights):
         rates, weights = np.array(rates), np.array(weights)
         tg = nm.time_grid(3.0, 30)
-        E_deph = dynamics.event_map(nm.dephasing_model(single_rate_ensemble(1.0)))
+        E_deph = nm.dephasing_model(single_rate_ensemble(1.0)).E
         frozen = _mc.sample_frozen_events(3, 5000, tg[-1], rates, weights)
         renewal = _mc.sample_renewal_events(3, 5000, tg[-1], rates, weights)
         for E in (E_deph, self.random_event_map()):
@@ -649,6 +691,19 @@ class TestCountHistogram:
                 self.assert_matches_reference(tg, times, off, E, composition)
         _, stderr = _mc.run_trajectories(self.V0, tg, *EDGE_STREAMS[1], None, E)
         assert not np.any(stderr)
+
+    def test_stderr_at_start_is_zero(self):
+        # every trajectory is still at v0 at t = 0: no round-off left in the variance
+        rates, weights = np.array([2.0, 1.0]), np.array([0.5, 0.5])
+        tg = nm.time_grid(3.0, 30)
+        E = self.random_event_map()
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(3, 5000, tg[-1], rates, weights)
+            mean, stderr = _mc.run_trajectories(self.V0, tg, times, off, None, E,
+                                                composition=composition)
+            assert np.array_equal(mean[0], self.V0) and not np.any(stderr[0])
+            assert np.all(stderr[1:].max(axis=1) > 0)
 
     def test_blocks_of_grid_times(self, monkeypatch):
         rates, weights = np.array([2.0, 1.0]), np.array([0.5, 0.5])
@@ -695,13 +750,13 @@ class TestEigenbasisRoute:
     def moments(self, model, tg, times, off, composition):
         return _mc.run_trajectories(self.V0[model.dim], tg, times, off,
                                     dynamics._unitary_factorization(model),
-                                    dynamics.event_map(model), composition=composition)
+                                    model.E, composition=composition)
 
     def assert_matches_reference(self, model, tg, times, off, composition):
         mean, stderr = self.moments(model, tg, times, off, composition)
         ref_mean, ref_stderr = trajectory_moments(
-            self.V0[model.dim], tg, times, off, dynamics.coherent_liouvillian(model),
-            dynamics.event_map(model), composition)
+            self.V0[model.dim], tg, times, off, model.L_H,
+            model.E, composition)
         assert np.max(np.abs(mean - ref_mean)) < 1e-12
         assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
 
@@ -722,6 +777,19 @@ class TestEigenbasisRoute:
                     self.assert_matches_reference(model, EDGE_GRID, times, off, composition)
                 _, stderr = self.moments(model, EDGE_GRID, *EDGE_STREAMS[1], composition)
                 assert not np.any(stderr)
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["sigma_x", "random", "qutrit"])
+    def test_stderr_at_start_is_zero(self, case):
+        # every trajectory is still at v0 at t = 0: no round-off left in the variance
+        model = self.models()[case]
+        tg = nm.time_grid(3.0, 30)
+        rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(3, 200, tg[-1], rates, weights)
+            mean, stderr = self.moments(model, tg, times, off, composition)
+            assert np.max(np.abs(mean[0] - self.V0[model.dim])) < 1e-15
+            assert not np.any(stderr[0]) and np.all(stderr[1:].max(axis=1) > 0)
 
     def test_blocks_of_trajectories(self, monkeypatch):
         model = self.models()[1]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import nmbath as nm
-from nmbath import dynamics, qops, qrt
+from nmbath import qops, qrt
 from nmbath.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
 
-from helpers import (apply_superop, dephasing_analytic, expectation_series, heisenberg_generator,
-                     observable_propagator, propagate, qrt_prediction, single_rate_ensemble,
-                     stationary_state)
+from helpers import (apply_superop, dephasing_analytic, expectation_series, generator,
+                     heisenberg_generator, observable_propagator, propagate, qrt_prediction,
+                     single_rate_ensemble, stationary_state)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_Y = 0.5 * (IDENTITY_2 + SIGMA_Y)
@@ -90,7 +90,7 @@ class TestTwoTimeCorrelation:
         # direct rate-resolved equal-time average
         expect = np.zeros(4, dtype=complex)
         for rate, weight in zip(TWO_RATE.rates, TWO_RATE.weights):
-            gen = dynamics.generator(model, rate)
+            gen = generator(model, rate)
             rho_t = apply_superop(propagate(gen, 1.3), RHO_Y)
             expect += weight * np.array([np.trace(A @ rho_t @ SIGMA_Z) for A in BASIS])
         assert np.max(np.abs(out - expect)) < 1e-12
@@ -229,7 +229,7 @@ class TestHeisenbergGenerator:
         rng = np.random.default_rng(5)
         for rate in TWO_RATE.rates:
             M = heisenberg_generator(model, rate, BASIS)
-            gen = dynamics.generator(model, rate)
+            gen = generator(model, rate)
             for _ in range(20):
                 S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 lhs = np.array([np.trace(A @ apply_superop(gen, S)) for A in BASIS])
