@@ -46,6 +46,113 @@ _BASIS_LABELS = ("sx", "sy", "sz", "id")
 
 # most cells formatted at once by write_csv, which bounds its temporaries
 CSV_CELLS = 1 << 16
+# most Monte Carlo events evolve accepts: trajectories * t_max * largest rate
+MC_EVENT_BUDGET = 1e9
+
+# %.16e prints a double x != 0 as N * 10**(k - 16), k = floor(log10 |x|) and
+# N = round(|x| * 10**(16 - k)) in [10**16, 10**17).  With 10**p held as a
+# double-double hi + lo, Dekker's exact product |x| * hi plus |x| * lo gives
+# the integer part of |x| * 10**(16 - k) exactly and its fraction to about
+# 1e-14 (T. J. Dekker, Numer. Math. 18, 224 (1971)).  Python formats the rest:
+# zeros, nan, inf, |x| outside FMT_RANGE and fractions within 1e-6 of a tie.
+FMT_RANGE = (1e-280, 1e280)
+_P_MIN, _P_MAX = 16 - 281, 16 + 281  # 10**p for k within one of log10 FMT_RANGE
+_SPLIT = 134217729.0  # 2**27 + 1
+_FMT_TABLES = None
+
+
+def _split(v):
+    """The high half of each double (26 bits); v minus it is the exact low half."""
+    c = _SPLIT * v
+    return c - (c - v)
+
+
+def _fmt_tables():
+    """(hi, hi's high half, hi's low half, lo) of 10**p by p - _P_MIN, and the digit pairs.
+
+    Built on the first write from exact integers: int-to-float conversion and
+    int division round correctly.
+    """
+    global _FMT_TABLES
+    if _FMT_TABLES is None:
+        hi, lo = [], []
+        for p in range(_P_MIN, _P_MAX + 1):
+            ten = 10**abs(p)
+            if p >= 0:
+                hi.append(float(ten))
+                lo.append(float(ten - int(hi[-1])))
+            else:
+                hi.append(1 / ten)
+                num, den = hi[-1].as_integer_ratio()
+                lo.append((den - num * ten) / (den * ten))
+        hi = np.array(hi)
+        h1 = _split(hi)
+        # "00" .. "99" as uint16, whose two bytes read in order
+        pairs = ((np.arange(100) // 10 + 48) | (np.arange(100) % 10 + 48) << 8).astype("<u2")
+        _FMT_TABLES = hi, h1, hi - h1, np.array(lo), pairs
+    return _FMT_TABLES
+
+
+def _scaled(a, k):
+    """|x| * 10**(16 - k) for |x| = a > 0: its integer part (int64) and fraction."""
+    hi, h1, h2, lo = (t[16 - k - _P_MIN] for t in _fmt_tables()[:4])
+    a1 = _split(a)
+    a2 = a - a1
+    p = a * hi
+    t = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
+    whole = np.floor(p)
+    t += p - whole
+    f = np.floor(t)
+    return whole.astype(np.int64) + f.astype(np.int64), t - f
+
+
+def _records(x):
+    """Each double of x as ``%.16e`` in a 25-byte record, NUL where a character is absent.
+
+    The slots: sign, d, '.', 16 digits, 'e', exponent sign, 3 exponent digits,
+    and a last one left for the separator.
+    """
+    a = np.abs(x)
+    native = (a >= FMT_RANGE[0]) & (a <= FMT_RANGE[1])
+    a = np.where(native, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, k)
+    # log10 can be one off next to a power of ten; the integer part before
+    # rounding says which way (rounding up to 10**17 is a carry, below)
+    off = (n >= 10**17).astype(np.int64) - (n < 10**16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        k[redo] += off[redo]
+        n[redo], frac[redo] = _scaled(a[redo], k[redo])
+    fallback = ~native | (np.abs(frac - 0.5) < 1e-6)
+    n += frac > 0.5
+    carry = n == 10**17
+    n[carry] = 10**16
+    k += carry
+    top = n // 10**8
+    d0 = top // 10**8
+    # the 16 digits after the point: two halves of 8, four of 4, eight pairs
+    q = np.stack([top - d0 * 10**8, n - top * 10**8], axis=-1)
+    for s in (10**4, 100):
+        h = q // s
+        q = np.stack([h, q - h * s], axis=-1)
+    pairs = _fmt_tables()[4]
+    e = np.abs(k)
+    e100 = e // 100
+    rec = np.zeros((x.size, 25), np.uint8)
+    rec[:, 0] = np.signbit(x) * ord("-")
+    rec[:, 1] = d0 + ord("0")
+    rec[:, 2] = ord(".")
+    rec[:, 3:19] = pairs.take(q.reshape(x.size, 8)).view(np.uint8)
+    rec[:, 19] = ord("e")
+    rec[:, 20] = np.where(k < 0, ord("-"), ord("+"))
+    rec[:, 21] = (e100 + ord("0")) * (e100 > 0)
+    rec[:, 22:24] = pairs.take(e - 100 * e100)[:, None].view(np.uint8)
+    idx = np.flatnonzero(fallback)
+    if idx.size:
+        text = np.array(["%.16e" % v for v in x[idx].tolist()], dtype="S24")
+        rec[idx, :24] = text.view(np.uint8).reshape(idx.size, 24)
+    return rec
 
 
 def write_csv(path, header, columns):
@@ -54,7 +161,7 @@ def write_csv(path, header, columns):
     Every cell is its value as a double in ``%.16e``: ``nan``, ``inf``,
     ``-inf`` and signed zeros included.  Rows are written in blocks of at
     most CSV_CELLS values.  Each distinct bit pattern of a block is
-    formatted once, and the row template gathers the strings.
+    formatted once, into a record that the cells then gather.
     """
     names, cols = [], []
     for name, col in zip(header, columns):
@@ -67,15 +174,17 @@ def write_csv(path, header, columns):
             cols.append(col)
     table = np.column_stack(cols).astype(np.float64, copy=False)
     rows = max(1, CSV_CELLS // table.shape[1])
-    row = ",".join(["%s"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
         for start in range(0, table.shape[0], rows):
             block = table[start:start + rows]
             # bit patterns keep -0.0 apart from 0.0 and one NaN from another
             keys, inv = np.unique(block.ravel().view(np.int64), return_inverse=True)
-            text = ("%.16e," * keys.size % tuple(keys.view(np.float64).tolist())).split(",")
-            fh.write(row * block.shape[0] % tuple(np.array(text, dtype=object)[inv].tolist()))
+            rec = _records(keys.view(np.float64)).view("V25")[inv]
+            rec = rec.view(np.uint8).reshape(*block.shape, 25)
+            rec[:, :, 24] = ord(",")
+            rec[:, -1, 24] = ord("\n")
+            fh.write(rec.tobytes().replace(b"\0", b""))
 
 
 def _json_safe(obj):
@@ -216,16 +325,26 @@ def cmd_evolve(args):
         print("warning: solver.methods is empty; nothing to do", file=sys.stderr)
         return 0
     model = cfgmod.build_model(cfg)
-    if any(m.startswith("mc_") for m in methods):
+    monte_carlo = any(m.startswith("mc_") for m in methods)
+    if monte_carlo:
         try:
             model.E
         except ValueError as exc:
             raise ConfigError(f"key 'model.jump_matrices': {exc}; "
                               "the mc_* solvers need sum V^dag V = I") from None
     rho0 = _initial_state(model)
-    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), cfgmod.count(cfg, "grid.steps"))
+    t_max = cfgmod.grid_t_max(cfg, model.ensemble)
+    tg = time_grid(t_max, cfgmod.count(cfg, "grid.steps"))
     seed = cfgmod.seed(cfg)
     n_traj = cfgmod.count(cfg, "solver.trajectories")
+    # no trajectory has more than about t_max * gamma_max events; a product
+    # that overflows is left to the sampler, which exits 3
+    rate = float(np.max(model.ensemble.rates))
+    if monte_carlo and math.isfinite(t_max * rate) and n_traj * t_max * rate > MC_EVENT_BUDGET:
+        raise ConfigError(f"keys 'solver.trajectories'/'grid.t_max': {n_traj} trajectories "
+                          f"over t_max {t_max:.3g} at the largest rate {rate:.3g} may draw "
+                          f"{n_traj * t_max * rate:.3g} events, above the budget of "
+                          f"{MC_EVENT_BUDGET:.0e}")
 
     results = {}
     for method in methods:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _mc, qops
-from .qops import SIGMA_Z, IDENTITY_2
+from .qops import SIGMA_Z
 from .ratebath import RateEnsemble, KernelDecomposition, kernel_decompose
 
 PICTURES = ("interaction", "schroedinger")
@@ -99,13 +99,15 @@ def _read_only(a):
 
 
 def dephasing_jumps():
-    """Jump pair {sigma_z/sqrt(2), I/sqrt(2)}.
+    """Jump pair {|0><0|, |1><1|}, the projectors onto the sigma_z eigenstates.
 
     Normalized so that sum V^dag V = I (the event map is trace preserving)
     and coherences decay at exactly the ensemble rate, which makes the
-    survival probability the coherence envelope.
+    survival probability the coherence envelope.  It is the channel of
+    {sigma_z/sqrt(2), I/sqrt(2)}, but exact in floating point: E keeps the
+    populations and erases the coherences, and L = E - I has entries 0 and -1.
     """
-    return (SIGMA_Z / np.sqrt(2.0), IDENTITY_2 / np.sqrt(2.0))
+    return (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
 
 def dephasing_model(ensemble, omega=1.0, picture="interaction"):

@@ -41,6 +41,19 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_format_table_costs_the_import_nothing(tmp_path):
+    # the CSV formatter builds its power-of-ten table from exact integers on
+    # the first write: not at import, and without fractions or decimal
+    path = tmp_path / "x.csv"
+    proc = run_python("-c", "import sys, nmbath.cli as cli; built = [cli._FMT_TABLES is not None]; "
+                      f"cli.write_csv({str(path)!r}, ['x'], [[0.1, -2.5e-300]]); "
+                      "built.append(cli._FMT_TABLES is not None); "
+                      "print(built, sorted(m for m in sys.modules if m in ('fractions', 'decimal')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, True] []"
+    assert path.read_text() == "x\n1.0000000000000001e-01\n-2.5000000000000000e-300\n"
+
+
 def test_exceptional_point_evolve_loads_no_scipy(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(EXCEPTIONAL_POINT_CFG)

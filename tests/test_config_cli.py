@@ -53,6 +53,7 @@ HALF = "0.7071067811865476"
 PRECESSION_MODEL_CFG = ("model.omega = 1.3\nmodel.jumps = matrix\nmodel.jump_matrices = 0,1;1,0\n"
                         "model.picture = schroedinger\n")
 
+MC_PROBE_CFG = "solver.methods = mc_frozen\nsolver.trajectories = 300000000\ngrid.steps = 10\n"
 FITPOW_WINDOW_CFG = "fitpow.window_lo = {}\nfitpow.window_hi = {}\n"
 S_MATRIX_CFG = P_UP_CFG.format(0.5) + "correlate.s_operator = matrix\ncorrelate.s_matrix = {}\n"
 JUMP_MATRICES_CFG = P_UP_CFG.format(0.5) + "model.jumps = matrix\nmodel.jump_matrices = {}\n"
@@ -125,6 +126,9 @@ HOSTILE = {
                                "ensemble.gamma_down = 1\ngrid.t_max = 1e10\ngrid.steps = 10\n"
                                "solver.methods = mc_frozen\nsolver.trajectories = 10\n",
                                {"evolve": 3}),
+    # about 1e12 events per fast trajectory: refused before any is drawn
+    "mc_sampler_unbounded": (P_UP_CFG.format(0.5) + "ensemble.gamma_up = 1e12\n"
+                             "grid.t_max = 1\nsolver.methods = mc_frozen\n", {"evolve": 2}),
 }
 
 
@@ -510,20 +514,50 @@ class TestCliContract:
         assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 3
         assert "runtime error" in capsys.readouterr().err
 
-    def test_memory_error_exits_3_with_one_line(self, tmp_path):
-        # 3e8 fitpow times need 2.2 GiB; the child caps its own address space at
-        # 1.5 GB before numpy loads, so the run must never go without the cap
-        cfg = write_cfg(tmp_path, MANIFOLD_CFG + "fitpow.points = 300000000\n")
-        argv = ["fitpow", "--config", cfg, "--out", str(tmp_path / "out")]
+    @staticmethod
+    def run_capped(tmp_path, command, cfg_text):
+        """The command in a child that caps its own address space at 1.5 GB before
+        numpy loads, so a run that asks for GBs never goes without the cap."""
+        cfg = write_cfg(tmp_path, cfg_text)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
         code = ("import resource, sys\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
                 f"from nmbath import cli\nsys.exit(cli.main({argv!r}))\n")
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
+
+    def test_memory_error_exits_3_with_one_line(self, tmp_path):
+        # 3e8 fitpow times need 2.2 GiB
+        proc = self.run_capped(tmp_path, "fitpow", MANIFOLD_CFG + "fitpow.points = 300000000\n")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("runtime error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command,cfg_text,exit_code", [
+        # 2e8 grid times need 1.6 GB
+        ("evolve", "grid.steps = 200000000\n", 3),
+        # 3e8 trajectories need 2.4 GB of stream state; with the default t_max
+        # of 13.3 they would draw up to 8e9 events, above the event budget
+        ("evolve", MC_PROBE_CFG, 2),
+        ("evolve", MC_PROBE_CFG + "grid.t_max = 1\n", 3),
+        # a 1e5 x 1e5 correlator surface
+        ("correlate", "grid.corr_t_steps = 100000\ngrid.tau_steps = 100000\n", 3),
+    ], ids=["evolve_steps", "mc_trajectories_budget", "mc_trajectories", "correlate_steps"])
+    def test_memory_probes_end_in_one_line(self, tmp_path, command, cfg_text, exit_code):
+        proc = self.run_capped(tmp_path, command, P_UP_CFG.format(0.5) + cfg_text)
+        assert proc.returncode == exit_code, proc.stderr
+        prefix = "config error: " if exit_code == 2 else "runtime error: "
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+
+    def test_event_budget_names_the_keys(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HOSTILE["mc_sampler_unbounded"][0])
+        assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "'solver.trajectories'" in err and "'grid.t_max'" in err and "1e+16 events" in err
+        # the same run with 10 trajectories may draw 1e13 events: still refused
+        assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--trajectories", "10") == 2
 
     def test_seed_override_changes_output(self, tmp_path):
         text = TWO_STATE_CFG.replace("ensemble,volterra", "mc_frozen")

@@ -61,6 +61,22 @@ class TestModelSpec:
         assert np.array_equal(model.E, qops.jump_superoperator(model.jumps))
         assert np.allclose(model.L, model.E - np.eye(4), atol=1e-15)
 
+    def test_dephasing_preset_is_exact(self):
+        # the projector pair is the channel of {sigma_z, I}/sqrt(2), with no round-off
+        model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
+        assert np.array_equal(model.E, np.diag([1.0, 0.0, 0.0, 1.0]))
+        assert np.array_equal(model.L, np.diag([0.0, -1.0, -1.0, 0.0]))
+        scaled = qops.lindblad_dissipator((SIGMA_Z / np.sqrt(2.0), IDENTITY_2 / np.sqrt(2.0)))
+        assert np.allclose(model.L, scaled, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", ["frozen_rate", "renewal"])
+    def test_dephasing_events_keep_populations_exactly(self, scheme):
+        model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0))
+        mc = nm.mc_trajectories(model, RHO_XY, nm.time_grid(6.0, 60),
+                                nm.MCConfig(2000, 3, scheme))
+        assert np.all(mc.states[:, 0, 0] == 0.5) and np.all(mc.states[:, 1, 1] == 0.5)
+        assert np.all(mc.trace_drift == 0.0)
+
     def test_event_map_of_unnormalized_jumps_raises_on_use(self):
         # the deterministic solvers take such jumps; only E refuses them
         model = nm.ModelSpec(0.5 * SIGMA_Z, (SIGMA_Z / 2.0,), single_rate_ensemble(1.0))
