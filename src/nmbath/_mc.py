@@ -10,16 +10,22 @@ events:
   have had k events by each grid time.  The counts are exact integers.
 * ``eigenbasis`` - otherwise each trajectory is written in the eigenbasis of
   L_H, where its state is constant between events; each event adds the change
-  of the state and of the upper triangle of its rows' Hermitian outer
-  products to a difference array over the grid.  Trajectories lie on the
+  of the few linear and quadratic combinations of the state that the output
+  reads to a difference array over the grid.  Trajectories lie on the
   contiguous last axis, in order of event count.
+
+Every state is a density matrix, so both routes compute only the entries
+i <= j of the mean and fill the rest by Hermitian symmetry.
 
 Event times come from a counter-based splitmix64 generator keyed by
 (seed, trajectory index): every trajectory's sample path is a pure function
-of that pair, independent of batching.
+of that pair, independent of batching, and each stream starts at a mixed
+point so that no two replay each other's draws.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,26 +34,34 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # cells held at once: event-count histogram cells (grid times x counts), whose
-# count axis grows with the most events of one trajectory; or feature cells
-# (trajectories x features) of one block of trajectories, with D^2 (D + 3) / 2
-# features per trajectory under the reversed string for states of size D
+# count axis grows with the most events of one trajectory; or the state and
+# feature cells of one block of trajectories, rows * (D + features) per
+# trajectory for states of rows x D
 HIST_CELLS = 1 << 16
+
+
+def _finalize(z):
+    """The splitmix64 finalizer: a bijection of uint64 that mixes every bit."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def _mix(state):
     """One splitmix64 output per stream; returns (new_state, uniform in (0,1))."""
     state = state + _GOLDEN
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z = z ^ (z >> np.uint64(31))
-    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = ((_finalize(state) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return state, u
 
 
 def _stream_init(seed, n):
+    """Stream i = 1..n starts at the i-th splitmix64 output of ``seed``.
+
+    That is SplitMix's split (Steele, Lea & Flood, OOPSLA 2014): streams that
+    started at seed + i golden would replay each other's draws shifted by one.
+    """
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    return np.uint64(int(seed) % 2**64) + idx * _GOLDEN
+    return _finalize(np.uint64(int(seed) % 2**64) + idx * _GOLDEN)
 
 
 def _assemble(n, rounds_idx, rounds_t):
@@ -179,47 +193,99 @@ def _mean_stderr(ref, dev_sum, dev_sq, n):
     return ref + dev, stderr
 
 
-def _outer_triangle(F, y):
-    """Fill ``F[:, D:]`` with y_a conj(y_b), a <= b, of each row of ``y`` (rows, D, m).
+def _upper(d):
+    """Vec indices i + d j of the entries i <= j of a d x d matrix, and of their transposes."""
+    up, low = zip(*[(i + d * j, j + d * i) for i in range(d) for j in range(i, d)])
+    return np.array(up), np.array(low)
 
-    Those are the upper triangle of the Hermitian y y^dag, in
-    ``np.triu_indices(D)`` order; the trajectories lie on the last axis.
+
+def _mirror(d, mean, stderr):
+    """Full (nt, d^2) mean and standard error from their entries i <= j (:func:`_upper`).
+
+    The mean of density matrices is Hermitian: entry (j, i) is the conjugate
+    of entry (i, j), with the same standard error, and the diagonal is real.
     """
-    D = y.shape[1]
-    yc = y.conj()
-    j = D
-    for a in range(D):
-        np.multiply(y[:, a:a + 1], yc[:, a:], out=F[:, j:j + D - a])
-        j += D - a
+    up, low = _upper(d)
+    # entry c of the full arrays is entry src[c] of the given ones
+    src = np.empty(d * d, dtype=np.intp)
+    src[low] = src[up] = np.arange(up.size)
+    below = np.zeros(d * d, dtype=bool)
+    below[low] = low != up
+    full_mean, full_stderr = mean[:, src], stderr[:, src]
+    np.conjugate(full_mean, out=full_mean, where=below)
+    full_mean.imag[:, ::d + 1] = 0.0
+    return full_mean, full_stderr
 
 
-def _event_sums(tgrid, ev_times, ev_off, state0, lam, A):
+def _fold_plan(nz, key):
+    """Slice operations that fold the products z_(g+k) conj(z_g), k >= 0, into features.
+
+    ``key(k, g)`` names the feature that the pair (g + k, g) adds to, or is
+    None where no output reads the pair.  Features are numbered in order of
+    first appearance, diagonal k after diagonal k - 1.  Returns (ops, pairs):
+    op (k, g0, g1, c, fold, first) covers the pairs g0 <= g < g1 of diagonal
+    k; with ``fold`` their sum goes to feature c (written by the feature's
+    first op, added by the rest), otherwise pair g writes feature
+    c + g - g0.  ``pairs[c]`` is the first pair (k, g) of feature c.
+    """
+    kept = [(k, g, key(k, g)) for k in range(nz) for g in range(nz - k)]
+    kept = [(k, g, name) for k, g, name in kept if name is not None]
+    feature, pairs, size = {}, [], {}
+    for k, g, name in kept:
+        if name not in feature:
+            feature[name] = len(pairs)
+            pairs.append((k, g))
+        size[name] = size.get(name, 0) + 1
+    ops = []
+    for k, g, name in kept:
+        c, fold = feature[name], size[name] > 1
+        if ops:
+            k1, g0, g1, c1, fold1, first = ops[-1]
+            if (k1, g1, fold1) == (k, g, fold) and c == (c1 if fold else c1 + g - g0):
+                ops[-1] = (k, g0, g + 1, c1, fold, first)
+                continue
+        ops.append((k, g, g + 1, c, fold, fold and pairs[c] == (k, g)))
+    return ops, pairs
+
+
+def _runs(omega):
+    """The first index of each run of equal values of the sorted ``omega``."""
+    return np.flatnonzero(np.diff(omega, prepend=-np.inf))
+
+
+def _event_sums(tgrid, ev_times, ev_off, state0, omega, A, P, ops, nq):
     """Sums over trajectories of each state's features at every grid time.
 
     A state is a (rows, D) array; every trajectory starts in ``state0`` and
     changes state only at its events, where each row x maps to D(-s) A D(s) x,
-    D(s) = diag(exp(lam s)).  The features of a row are x and the upper
-    triangle of y y^dag (:func:`_outer_triangle`), row after row, where
-    y = x - x0 is the change of the row from its row x0 of ``state0``.  They
-    are constant between events, so each event adds features(new) -
-    features(old) to a difference array at the first grid time t_g >= s, and
-    one running sum over time, from 0, gives the sums of y and of the
-    triangle: all 0 until the first event.
+    D(s) = diag(exp(i omega s)).  ``omega`` is sorted and odd:
+    omega[::-1] == -omega, so D(-s) is D(s) reversed, and one complex exp per
+    distinct positive frequency gives D(s).  The features of a row are
+    z = P (x - x0), where x0 is its row of ``state0``, then the products
+    z_(g+k) conj(z_g) folded into ``nq`` features by ``ops``
+    (:func:`_fold_plan`), row after row.  They are constant between events,
+    so each event adds features(new) - features(old) to a difference array at
+    the first grid time t_g >= s, and one running sum over time, from 0, gives
+    their sums: all 0 until the first event.
 
     Trajectories are sorted by event count (stable, descending) and taken in
-    blocks of at most ``HIST_CELLS`` feature cells, held as (rows, features,
-    m) with the m trajectories on the contiguous last axis.  Round r applies
-    the r-th event of every trajectory that has one; those are a prefix of the
-    block, so each round works on slices.
+    blocks of at most ``HIST_CELLS`` cells of states and features, held as
+    (rows, columns, m) with the m trajectories on the contiguous last axis.
+    Round r applies the r-th event of every trajectory that has one; those
+    are a prefix of the block, so each round works on slices.
     """
     nt = tgrid.size
     rows, D = state0.shape
-    nf = D + D * (D + 1) // 2
+    nz = P.shape[0]
+    nf = nz + nq
     width = rows * nf
     x0 = state0[:, :, None]
-    # the features before the first event: x0, and a zero triangle
-    f0 = np.zeros((rows, nf, 1), dtype=np.complex128)
-    f0[:, :D] = x0
+    z0 = P @ x0
+    npos = np.count_nonzero(omega > 0)
+    # the columns [j0, j1) of each distinct positive frequency w
+    starts = _runs(omega)
+    pos = [(j0, j1, 1j * omega[j0]) for j0, j1 in zip(starts, [*starts[1:], D])
+           if omega[j0] > 0]
     # row nt collects the events past the grid
     flat = np.zeros((nt + 1) * width, dtype=np.complex128)
     diff = flat.reshape(nt + 1, width)
@@ -228,23 +294,48 @@ def _event_sums(tgrid, ev_times, ev_off, state0, lam, A):
     cols = np.arange(width).reshape(rows, nf, 1)
     counts = np.diff(ev_off)
     order = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
-    block = max(1, HIST_CELLS // width)
-    # the features after this round's event, and the buffer of the next round
-    new_buf, next_buf = np.empty((2, width * min(block, order.size)), dtype=np.complex128)
+    block = max(1, min(HIST_CELLS // (rows * (D + nf)), order.size))
+    # the states and features after this round's event, and the buffers of the
+    # next round; D(s) and the work arrays
+    xbuf = np.empty((2, rows * D * block), dtype=np.complex128)
+    fbuf = np.empty((2, width * block), dtype=np.complex128)
+    ph_buf = np.ones((D, block), dtype=np.complex128)
+    tmp = np.empty((rows, D, block), dtype=np.complex128)
+    zc_buf = np.empty((rows, nz, block), dtype=np.complex128)
     for i0 in range(0, order.size, block):
         idx = order[i0:i0 + block]
         first = ev_off[idx]
         # alive[r]: how many trajectories of the block have more than r events
         alive = np.searchsorted(-counts[idx], -np.arange(counts[idx[0]]), side="left")
-        old = np.broadcast_to(f0, (rows, nf, idx.size))
+        old_x, old_f = x0, None
         for r, m in enumerate(alive):
             k = first[:m] + r
-            ph = np.exp(lam[:, None] * ev_times[k])
-            new = new_buf[:width * m].reshape(rows, nf, m)
-            np.multiply(A @ (old[:, :D, :m] * ph), ph.conj(), out=new[:, :D])
-            _outer_triangle(new, new[:, :D] - x0)
-            np.add.at(flat, (cols + row[k] * width).ravel(), (new - old[..., :m]).ravel())
-            old, new_buf, next_buf = new, next_buf, new_buf
+            s = ev_times[k]
+            ph = ph_buf[:, :m]
+            for j0, j1, w in pos:
+                np.exp(s * w, out=ph[j0])
+                ph[j0 + 1:j1] = ph[j0]
+            np.conjugate(ph[D - npos:][::-1], out=ph[:npos])
+            new_x = xbuf[r % 2, :rows * D * m].reshape(rows, D, m)
+            new_f = fbuf[r % 2, :width * m].reshape(rows, nf, m)
+            np.multiply(old_x[:, :, :m], ph, out=tmp[:, :, :m])
+            np.matmul(A, tmp[:, :, :m], out=new_x)
+            np.multiply(new_x, ph[::-1], out=new_x)
+            z, q, zc = new_f[:, :nz], new_f[:, nz:], zc_buf[:, :, :m]
+            np.matmul(P, new_x, out=z)
+            z -= z0
+            np.conjugate(z, out=zc)
+            for kk, g0, g1, c, fold, first_op in ops:
+                a, b = z[:, g0 + kk:g1 + kk], zc[:, g0:g1]
+                if not fold:
+                    np.multiply(a, b, out=q[:, c:c + g1 - g0])
+                elif first_op:
+                    np.add.reduce(a * b, axis=1, out=q[:, c])
+                else:
+                    q[:, c] += (a * b).sum(axis=1)
+            delta = new_f if old_f is None else new_f - old_f[:, :, :m]
+            np.add.at(flat, (cols + row[k] * width).ravel(), delta.ravel())
+            old_x, old_f = new_x, new_f
     return np.cumsum(diff[:nt], axis=0)
 
 
@@ -252,25 +343,34 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
     """Return (mean, standard error) over all trajectories at every uniform grid time.
 
     ``unitary`` is None for trivial inter-event evolution, else the pair
-    (W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag.  ``composition``
-    selects the operator ordering of each realization: "forward" applies the
-    event map chronologically (the frozen-rate unraveling of the exact
-    average) while "reversed" attaches the drawn gaps to the unitaries in
-    reverse, which is the string whose renewal average solves the effective
-    memory-kernel equation.  Without a unitary both orderings give E^N(t) v0
-    and the moments come from event-count histograms.  Otherwise each
-    trajectory is written in the eigenbasis of L_H, where its state changes
+    (W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, W unitary and lam
+    imaginary, as from ``eigh`` of the Hamiltonian: its frequencies come in
+    pairs +-w.  ``composition`` selects the operator ordering of each
+    realization: "forward" applies the event map chronologically (the
+    frozen-rate unraveling of the exact average) while "reversed" attaches
+    the drawn gaps to the unitaries in reverse, which is the string whose
+    renewal average solves the effective memory-kernel equation.  Without a
+    unitary both orderings give E^N(t) v0 and the moments come from
+    event-count histograms.  Otherwise each trajectory is written in the
+    eigenbasis of L_H, with the frequencies sorted, where its state changes
     only at events (see :func:`_event_sums`), with E' = W^dag E W:
 
     * forward: v(t) = W (exp(lam t) * c), with c <- D(-s) E' D(s) c at each
-      event from c = W^dag v0;
+      event from c = W^dag v0.  Only the entries y_a of y = c - W^dag v0
+      that an output row of W reads, and only the products y_a conj(y_b)
+      that one reads with y_b, are summed;
     * reversed: v(t) = B (exp(lam t) * W^dag v0), with B <- B D(s) E' D(-s)
-      at each event from B = W.
+      at each event from B = W.  Row i of B reaches the output only as
+      sum_f exp(i w_f t) z_if, where z_if sums (B - W)_ij (W^dag v0)_j over
+      the columns j of frequency w_f; |.|^2 needs the products
+      z_if conj(z_ig) only summed over the pairs of one difference
+      w_f - w_g.
 
     Both routes sum the moments of v(t) - a(t), where a(t) is the trajectory
     without events (v0, or W (exp(lam t) * W^dag v0)), and add a(t) back to
     the mean: the standard error is exactly 0 where no trajectory has left
-    a(t), not the square root of round-off.
+    a(t), not the square root of round-off.  Every state is a density matrix,
+    so only the entries i <= j are computed; :func:`_mirror` fills the rest.
     """
     if composition not in ("forward", "reversed"):
         raise ValueError(f"unknown composition {composition!r}")
@@ -281,6 +381,8 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
     ev_off = np.ascontiguousarray(ev_off, dtype=np.int64)
     E = np.ascontiguousarray(E, dtype=np.complex128)
     dsq = v0.size
+    d = math.isqrt(dsq)
+    up = _upper(d)[0]
     n = ev_off.size - 1
     nt = tgrid.size
 
@@ -289,32 +391,55 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
         powers[0] = v0
         for k in range(1, len(powers)):
             powers[k] = E @ powers[k - 1]
-        powers -= v0
+        powers = np.ascontiguousarray(powers[:, up] - v0[up])
+        nu = up.size
         # columns: Re and Im of E^k v0 - v0 interleaved, then |E^k v0 - v0|^2
         cols = np.hstack([powers.view(np.float64), powers.real**2 + powers.imag**2])
         sums = _count_histogram_sums(cols, tgrid, ev_times, ev_off)
-        dev_sum = np.ascontiguousarray(sums[:, :2 * dsq]).view(np.complex128)
-        return _mean_stderr(v0, dev_sum, sums[:, 2 * dsq:], n)
+        dev_sum = np.ascontiguousarray(sums[:, :2 * nu]).view(np.complex128)
+        return _mirror(d, *_mean_stderr(v0[up], dev_sum, sums[:, 2 * nu:], n))
 
     W, lam = (np.asarray(a, dtype=np.complex128) for a in unitary)
+    perm = np.argsort(lam.imag, kind="stable")
+    W, lam = W[:, perm], lam[perm]
+    omega = lam.imag
+    if not np.array_equal(omega[::-1], -omega):
+        raise ValueError("the frequencies of L_H must come in pairs +-w")
     E_eig = W.conj().T @ E @ W
     c0 = W.conj().T @ v0
     phases = np.exp(np.outer(tgrid, lam))
     x = phases * c0
+    Wu = W[up]
     # the trajectory without events, W (exp(lam t) * c0), under both strings
-    ref = x @ W.T
-    a, b = np.triu_indices(dsq)
-    # an off-diagonal entry of the triangle stands for itself and its conjugate
-    twice = np.where(a == b, 1.0, 2.0)
+    ref = x @ Wu.T
     if composition == "forward":
-        sums = _event_sums(tgrid, ev_times, ev_off, c0[None], lam, E_eig)
-        Y = W * phases[:, None, :]
-        dev_sum = np.einsum("kia,ka->ki", Y, sums[:, :dsq])
-        tri = sums[:, dsq:] * twice
-        dev_sq = np.einsum("kit,kt,kit->ki", Y[:, :, a], tri, Y[:, :, b].conj()).real
+        # the entries y_a that some output row reads, and the pairs it reads together
+        lin = np.flatnonzero(np.any(Wu != 0, axis=0))
+        Wl = Wu[:, lin]
+        ops, pairs = _fold_plan(lin.size, lambda k, g: (
+            (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
+        sums = _event_sums(tgrid, ev_times, ev_off, c0[None], omega, E_eig,
+                           np.eye(dsq, dtype=np.complex128)[lin], ops, len(pairs))
+        Y = Wl * phases[:, None, lin]
+        dev_sum = np.einsum("kia,ka->ki", Y, sums[:, :lin.size])
+        k, g = np.array(pairs).T
+        # an off-diagonal product stands for itself and its conjugate
+        quad = sums[:, lin.size:] * np.where(k == 0, 1.0, 2.0)
+        dev_sq = np.einsum("kic,kc,kic->ki", Y[:, :, g + k], quad, Y[:, :, g].conj()).real
     else:
+        # the columns of each distinct frequency, weighted by c0; and the
+        # pairs of bins folded by their difference of frequency
+        starts = _runs(omega)
+        nz, w = starts.size, omega[starts]
+        P = np.zeros((nz, dsq), dtype=np.complex128)
+        P[np.searchsorted(starts, np.arange(dsq), side="right") - 1, np.arange(dsq)] = c0
+        ops, pairs = _fold_plan(nz, lambda k, g: w[g + k] - w[g])
         # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
-        sums = _event_sums(tgrid, ev_times, ev_off, W, lam, E_eig.T).reshape(nt, dsq, -1)
-        dev_sum = np.einsum("kij,kj->ki", sums[:, :, :dsq], x)
-        dev_sq = np.einsum("kit,kt->ki", sums[:, :, dsq:], twice * x[:, a] * x[:, b].conj()).real
-    return _mean_stderr(ref, dev_sum, dev_sq, n)
+        sums = _event_sums(tgrid, ev_times, ev_off, Wu, omega, E_eig.T, P, ops,
+                           len(pairs)).reshape(nt, up.size, -1)
+        dev_sum = np.einsum("kif,kf->ki", sums[:, :, :nz], phases[:, starts])
+        k, g = np.array(pairs).T
+        nu = w[g + k] - w[g]
+        quad = np.exp(1j * np.outer(tgrid, nu)) * np.where(k == 0, 1.0, 2.0)
+        dev_sq = np.einsum("kic,kc->ki", sums[:, :, nz:], quad).real
+    return _mirror(d, *_mean_stderr(ref, dev_sum, dev_sq, n))

@@ -9,6 +9,7 @@ error, 3 solver/runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,8 +47,11 @@ _BASIS_LABELS = ("sx", "sy", "sz", "id")
 
 # most cells formatted at once by write_csv, which bounds its temporaries
 CSV_CELLS = 1 << 16
-# most Monte Carlo events evolve accepts: trajectories * t_max * largest rate
+# most Monte Carlo events evolve accepts: trajectories * t_max * largest rate,
+# with a run counted as at least MC_MIN_TRAJECTORIES trajectories, since the
+# sampler takes one round per event of its busiest trajectory
 MC_EVENT_BUDGET = 1e9
+MC_MIN_TRAJECTORIES = 10_000
 
 # %.16e prints a double x != 0 as N * 10**(k - 16), k = floor(log10 |x|) and
 # N = round(|x| * 10**(16 - k)) in [10**16, 10**17).  With 10**p held as a
@@ -340,11 +344,12 @@ def cmd_evolve(args):
     # no trajectory has more than about t_max * gamma_max events; a product
     # that overflows is left to the sampler, which exits 3
     rate = float(np.max(model.ensemble.rates))
-    if monte_carlo and math.isfinite(t_max * rate) and n_traj * t_max * rate > MC_EVENT_BUDGET:
+    events = max(n_traj, MC_MIN_TRAJECTORIES) * t_max * rate
+    if monte_carlo and math.isfinite(t_max * rate) and events > MC_EVENT_BUDGET:
         raise ConfigError(f"keys 'solver.trajectories'/'grid.t_max': {n_traj} trajectories "
-                          f"over t_max {t_max:.3g} at the largest rate {rate:.3g} may draw "
-                          f"{n_traj * t_max * rate:.3g} events, above the budget of "
-                          f"{MC_EVENT_BUDGET:.0e}")
+                          f"(counted as at least {MC_MIN_TRAJECTORIES}) over t_max "
+                          f"{t_max:.3g} at the largest rate {rate:.3g} may draw {events:.3g} "
+                          f"events, above the budget of {MC_EVENT_BUDGET:.0e}")
 
     results = {}
     for method in methods:
@@ -519,8 +524,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`build_parser`, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # overflow surfaces as FloatingPointError (exit 3), not as a stream of warnings
         with np.errstate(over="raise", invalid="raise"):

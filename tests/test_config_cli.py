@@ -129,6 +129,10 @@ HOSTILE = {
     # about 1e12 events per fast trajectory: refused before any is drawn
     "mc_sampler_unbounded": (P_UP_CFG.format(0.5) + "ensemble.gamma_up = 1e12\n"
                              "grid.t_max = 1\nsolver.methods = mc_frozen\n", {"evolve": 2}),
+    # one trajectory, but a million sampler rounds: a run counts as 1e4 trajectories
+    "mc_one_busy_trajectory": (P_UP_CFG.format(1) + "ensemble.gamma_up = 1e6\n"
+                               "grid.t_max = 1\nsolver.methods = mc_frozen\n"
+                               "solver.trajectories = 1\n", {"evolve": 2}),
 }
 
 
@@ -558,6 +562,20 @@ class TestCliContract:
         # the same run with 10 trajectories may draw 1e13 events: still refused
         assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o"),
                        "--trajectories", "10") == 2
+
+    def test_consecutive_calls_share_no_arguments(self, tmp_path, monkeypatch):
+        # the parser is built once per process; each call parses into a fresh namespace
+        seen = []
+        monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: seen.append(args) or 0
+                                               for name in cli._COMMANDS})
+        assert run_cli("evolve", "--config", "a.cfg", "--seed", "5", "--trajectories", "300") == 0
+        assert run_cli("kernel", "--config", "b.cfg", "--out", "o") == 0
+        assert run_cli("evolve", "--config", "c.cfg", "--trajectories", "7") == 0
+        assert [vars(a) for a in seen] == [
+            dict(command="evolve", config="a.cfg", out=None, seed=5, trajectories=300),
+            dict(command="kernel", config="b.cfg", out="o", seed=None, trajectories=None),
+            dict(command="evolve", config="c.cfg", out=None, seed=None, trajectories=7)]
+        assert cli._parser() is cli._parser()
 
     def test_seed_override_changes_output(self, tmp_path):
         text = TWO_STATE_CFG.replace("ensemble,volterra", "mc_frozen")

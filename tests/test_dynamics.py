@@ -582,20 +582,23 @@ class TestMonteCarlo:
 def splitmix_events(seed, n, t_max, rates, weights, renewal):
     """The sampling contract, one trajectory at a time in scalar splitmix64 arithmetic.
 
-    Trajectory i owns the stream seeded (seed + i * golden) mod 2^64, i >= 1.
-    Each draw advances it by golden and mixes it to a uniform in (0, 1).  The
-    frozen scheme draws the level once; the renewal scheme draws it before
-    every wait.  A wait is -log(u) / rate; a zero rate waits forever.
+    Trajectory i owns the stream seeded mix((seed + i * golden) mod 2^64),
+    i >= 1, with mix the splitmix64 finalizer: the i-th output of a splitmix64
+    generator seeded at ``seed``.  Each draw advances it by golden and mixes
+    it to a uniform in (0, 1).  The frozen scheme draws the level once; the
+    renewal scheme draws it before every wait.  A wait is -log(u) / rate; a
+    zero rate waits forever.
     """
     mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
 
-    def draw(state):
-        state = (state + golden) & mask
-        z = state
+    def mix(z):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        return state, ((z >> 11) + 0.5) * 2.0**-53
+        return z ^ (z >> 31)
+
+    def draw(state):
+        state = (state + golden) & mask
+        return state, ((mix(state) >> 11) + 0.5) * 2.0**-53
 
     cum = np.cumsum(weights)
 
@@ -604,7 +607,7 @@ def splitmix_events(seed, n, t_max, rates, weights, renewal):
 
     times, offsets = [], [0]
     for i in range(1, n + 1):
-        state, t = (seed + i * golden) & mask, 0.0
+        state, t = mix((seed + i * golden) & mask), 0.0
         if not renewal:
             state, u = draw(state)
             rate = level(u)
@@ -640,6 +643,37 @@ class TestEventSampling:
             assert np.array_equal(times, ref_times)
             counts = np.diff(offsets)
             assert counts.min() == 0 and counts.max() > 1
+
+    def test_streams_share_no_state(self):
+        # the states of the first 64 draws of 1000 trajectories are all distinct
+        states = _mc._stream_init(3, 1000)[:, None] + np.arange(1, 65, dtype=np.uint64) * _mc._GOLDEN
+        assert np.unique(states).size == states.size
+
+    def test_neighbouring_event_counts_are_uncorrelated(self):
+        rates, weights = np.array([2.2, 0.9]), np.array([0.5, 0.5])
+        for sample in (_mc.sample_frozen_events, _mc.sample_renewal_events):
+            counts = np.diff(sample(3, 20000, 2.5, rates, weights)[1]).astype(float)
+            assert abs(np.corrcoef(counts[:-1], counts[1:])[0, 1]) < 0.03
+
+    def test_spread_of_the_mean_matches_the_reported_stderr(self):
+        # rho_11 = 0.7^N under partial decay events: the spread of its mean over
+        # 200 seeds against the mean standard error that each run reports
+        kraus = [np.diag([1.0, np.sqrt(0.7)]).astype(complex),
+                 np.sqrt(0.3) * np.array([[0, 1], [0, 0]], dtype=complex)]
+        E = qops.jump_superoperator(kraus)
+        v0 = qops.vectorize(np.diag([0.0, 1.0]).astype(complex))
+        tg = nm.time_grid(3.0, 4)
+        rates, weights = np.array([2.0, 1.0]), np.array([0.5, 0.5])
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            means, stderrs = [], []
+            for seed in range(1, 201):
+                times, off = sample(seed, 400, tg[-1], rates, weights)
+                mean, stderr = _mc.run_trajectories(v0, tg, times, off, None, E,
+                                                    composition=composition)
+                means.append(mean[-1, 3].real)
+                stderrs.append(stderr[-1, 3])
+            assert abs(np.std(means, ddof=1) / np.mean(stderrs) - 1.0) < 0.15
 
     def test_rates_below_the_double_range_end_their_trajectories(self):
         # a wait of -log(u) / 1e-310 overflows; under the CLI's error state
@@ -751,16 +785,26 @@ class TestEigenbasisRoute:
     V0 = {2: qops.vectorize(RHO_XY), 3: qops.vectorize(random_density(np.random.default_rng(13), 3))}
     ENSEMBLE = nm.rate_ensemble([1.5, 3.0, 0.7], [0.3, 0.3, 0.4])
 
+    CASES = ["sigma_x", "random", "qutrit", "degenerate_qutrit", "dense_w"]
+
     def models(self):
-        """sigma_x events with precession, and random event maps under random H: d = 2 and 3."""
+        """sigma_x events with precession, random event maps under random H (d = 2 and 3),
+        a qutrit whose spectrum is degenerate, and a qubit whose eigenbasis W is dense."""
         rng = np.random.default_rng(12)
         A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         models = [sigma_x_model(self.ENSEMBLE, omega=1.7),
                   nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng), self.ENSEMBLE,
                                "schroedinger")]
-        # D = 9: each row of a state carries a 45-wide triangle of its outer product
+        # D = 9 with 7 distinct frequencies
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        return models + [nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng, d=3),
+        models.append(nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng, d=3),
+                                   self.ENSEMBLE, "schroedinger"))
+        # frequencies 0 (five columns) and +-2 (two each)
+        models.append(nm.ModelSpec(np.diag([1.0, 1.0, -1.0]),
+                                   random_normalized_jumps(rng, d=3, count=3),
+                                   self.ENSEMBLE, "schroedinger"))
+        # H along sigma_x: every entry of W = kron(conj(U), U) is nonzero
+        return models + [nm.ModelSpec(0.8 * SIGMA_X, random_normalized_jumps(rng),
                                       self.ENSEMBLE, "schroedinger")]
 
     def moments(self, model, tg, times, off, composition):
@@ -776,9 +820,9 @@ class TestEigenbasisRoute:
         assert np.max(np.abs(mean - ref_mean)) < 1e-12
         assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
 
-    @pytest.mark.parametrize("case", [0, 1, 2], ids=["sigma_x", "random", "qutrit"])
+    @pytest.mark.parametrize("case", CASES)
     def test_sampled_streams_both_schemes(self, case):
-        model = self.models()[case]
+        model = self.models()[self.CASES.index(case)]
         tg = nm.time_grid(3.0, 30)
         rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
         frozen = _mc.sample_frozen_events(3, 200, tg[-1], rates, weights)
@@ -794,10 +838,10 @@ class TestEigenbasisRoute:
                 _, stderr = self.moments(model, EDGE_GRID, *EDGE_STREAMS[1], composition)
                 assert not np.any(stderr)
 
-    @pytest.mark.parametrize("case", [0, 1, 2], ids=["sigma_x", "random", "qutrit"])
+    @pytest.mark.parametrize("case", CASES)
     def test_stderr_at_start_is_zero(self, case):
         # every trajectory is still at v0 at t = 0: no round-off left in the variance
-        model = self.models()[case]
+        model = self.models()[self.CASES.index(case)]
         tg = nm.time_grid(3.0, 30)
         rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
         for sample, composition in ((_mc.sample_frozen_events, "forward"),
@@ -825,18 +869,66 @@ class TestEigenbasisRoute:
         model = self.models()[1]
         tg = nm.time_grid(3.0, 30)
         rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
-        dsq = model.dim ** 2
-        for sample, seed, composition, rows in ((_mc.sample_frozen_events, 7, "forward", 1),
-                                                (_mc.sample_renewal_events, 4, "reversed", dsq)):
+        # cells per trajectory: forward, one row of 4 entries and 4 + 10 features;
+        # reversed, the 3 rows i <= j of 4 entries and 3 + 3 features (frequencies -w, 0, w)
+        for sample, seed, composition, cells in ((_mc.sample_frozen_events, 14, "forward", 18),
+                                                 (_mc.sample_renewal_events, 5, "reversed", 30)):
             times, off = sample(seed, 1000, tg[-1], rates, weights)
             groups = np.bincount(np.diff(off))
             assert 1000 % 7 and np.all(groups[groups > 0] % 7)
             whole = self.moments(model, tg, times, off, composition)
-            monkeypatch.setattr(_mc, "HIST_CELLS", 7 * rows * (dsq + dsq * (dsq + 1) // 2))
+            monkeypatch.setattr(_mc, "HIST_CELLS", 7 * cells)
             sevens = self.moments(model, tg, times, off, composition)
             monkeypatch.undo()
             for a, b in zip(whole, sevens):
                 assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_feature_widths_of_the_bench_model(self, monkeypatch):
+        # sigma_z precession with sigma_x events: W is a permutation, so the
+        # forward string sums the 3 entries that the rows i <= j read and their
+        # 3 squares; the reversed string sums, for each of those 3 rows, 3
+        # frequency bins and 3 differences of frequency
+        widths = []
+        event_sums = _mc._event_sums
+
+        def spy(*args):
+            sums = event_sums(*args)
+            widths.append(sums.shape[1])
+            return sums
+
+        monkeypatch.setattr(_mc, "_event_sums", spy)
+        model = sigma_x_model(self.ENSEMBLE)
+        tg = nm.time_grid(3.0, 30)
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            self.moments(model, tg, *sample(3, 50, tg[-1], self.ENSEMBLE.rates,
+                                            self.ENSEMBLE.weights), composition)
+        assert widths == [6, 18]
+
+
+@pytest.mark.parametrize("route", ["count_histogram", "eigenbasis"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_mean_is_hermitian(route, d):
+    # entry (j, i) is the conjugate of entry (i, j) bit for bit, with the same
+    # standard error, and the diagonal is real
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    model = nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng, d=d),
+                         TestEigenbasisRoute.ENSEMBLE, "schroedinger")
+    unitary = dynamics._unitary_factorization(model) if route == "eigenbasis" else None
+    v0 = qops.vectorize(random_density(rng, d))
+    tg = nm.time_grid(3.0, 30)
+    ens = model.ensemble
+    for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                (_mc.sample_renewal_events, "reversed")):
+        times, off = sample(5, 300, tg[-1], ens.rates, ens.weights)
+        mean, stderr = _mc.run_trajectories(v0, tg, times, off, unitary, model.E,
+                                            composition=composition)
+        mean, stderr = (a.reshape(-1, d, d, order="F") for a in (mean, stderr))
+        assert np.array_equal(mean, mean.conj().transpose(0, 2, 1))
+        assert np.array_equal(stderr, stderr.transpose(0, 2, 1))
+        assert not np.any(np.diagonal(mean, axis1=1, axis2=2).imag)
+        assert np.all(stderr[1:].max(axis=(1, 2)) > 0)
 
 
 class TestInvariants:
