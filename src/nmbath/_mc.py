@@ -9,10 +9,10 @@ events:
   E^N(t) v0, so the sums over trajectories are fixed by how many trajectories
   have had k events by each grid time.  The counts are exact integers.
 * ``eigenbasis`` - otherwise each trajectory is written in the eigenbasis of
-  L_H, where its state is constant between events; each event adds the change
-  of the few linear and quadratic combinations of the state that the output
-  reads to a difference array over the grid.  Trajectories lie on the
-  contiguous last axis, in order of event count.
+  L_H, from ``eigh`` of H, where its state is constant between events; each
+  event adds the change of the few linear and quadratic combinations of the
+  state that the output reads to a difference array over the grid.
+  Trajectories lie on the contiguous last axis, in order of event count.
 
 Every state is a density matrix, so both routes compute only the entries
 i <= j of the mean and fill the rest by Hermitian symmetry.
@@ -66,9 +66,8 @@ def _stream_init(seed, n):
 
 def _assemble(n, rounds_idx, rounds_t):
     """(flat event times, offsets) from the rounds: round r holds the r-th event of its trajectories."""
-    counts = np.zeros(n, dtype=np.int64)
-    for idx in rounds_idx:
-        counts[idx] += 1
+    # n = 0 makes no rounds, and concatenate needs at least one array
+    counts = np.bincount(np.concatenate([np.empty(0, np.intp), *rounds_idx]), minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     times = np.empty(offsets[-1], dtype=np.float64)
@@ -339,21 +338,32 @@ def _event_sums(tgrid, ev_times, ev_off, state0, omega, A, P, ops, nq):
     return np.cumsum(diff[:nt], axis=0)
 
 
-def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forward"):
+def _eigenbasis(H):
+    """(W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, stably sorted by frequency.
+
+    fl(E_a - E_b) = -fl(E_b - E_a), so the sorted frequencies are odd.
+    """
+    energies, U = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
+    d = energies.size
+    lam = -1j * (np.tile(energies, d) - np.repeat(energies, d))
+    perm = np.argsort(lam.imag, kind="stable")
+    return np.kron(U.conj(), U)[:, perm], lam[perm]
+
+
+def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     """Return (mean, standard error) over all trajectories at every uniform grid time.
 
-    ``unitary`` is None for trivial inter-event evolution, else the pair
-    (W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, W unitary and lam
-    imaginary, as from ``eigh`` of the Hamiltonian: its frequencies come in
-    pairs +-w.  ``composition`` selects the operator ordering of each
-    realization: "forward" applies the event map chronologically (the
-    frozen-rate unraveling of the exact average) while "reversed" attaches
-    the drawn gaps to the unitaries in reverse, which is the string whose
-    renewal average solves the effective memory-kernel equation.  Without a
-    unitary both orderings give E^N(t) v0 and the moments come from
-    event-count histograms.  Otherwise each trajectory is written in the
-    eigenbasis of L_H, with the frequencies sorted, where its state changes
-    only at events (see :func:`_event_sums`), with E' = W^dag E W:
+    ``H`` is the Hamiltonian that acts between events, or None where nothing
+    evolves between them (L_H identically zero).  ``composition`` selects
+    the operator ordering of each realization: "forward" applies the event
+    map chronologically (the frozen-rate unraveling of the exact average)
+    while "reversed" attaches the drawn gaps to the unitaries in reverse,
+    which is the string whose renewal average solves the effective
+    memory-kernel equation.  Without ``H`` both orderings give E^N(t) v0 and
+    the moments come from event-count histograms.  Otherwise each trajectory
+    is written in the eigenbasis (W, lam) of L_H (:func:`_eigenbasis`), where
+    its state changes only at events (see :func:`_event_sums`), with
+    E' = W^dag E W:
 
     * forward: v(t) = W (exp(lam t) * c), with c <- D(-s) E' D(s) c at each
       event from c = W^dag v0.  Only the entries y_a of y = c - W^dag v0
@@ -386,7 +396,7 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
     n = ev_off.size - 1
     nt = tgrid.size
 
-    if unitary is None:
+    if H is None:
         powers = np.empty((int(np.diff(ev_off).max(initial=0)) + 1, dsq), dtype=np.complex128)
         powers[0] = v0
         for k in range(1, len(powers)):
@@ -399,12 +409,8 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, unitary, E, composition="forwa
         dev_sum = np.ascontiguousarray(sums[:, :2 * nu]).view(np.complex128)
         return _mirror(d, *_mean_stderr(v0[up], dev_sum, sums[:, 2 * nu:], n))
 
-    W, lam = (np.asarray(a, dtype=np.complex128) for a in unitary)
-    perm = np.argsort(lam.imag, kind="stable")
-    W, lam = W[:, perm], lam[perm]
+    W, lam = _eigenbasis(H)
     omega = lam.imag
-    if not np.array_equal(omega[::-1], -omega):
-        raise ValueError("the frequencies of L_H must come in pairs +-w")
     E_eig = W.conj().T @ E @ W
     c0 = W.conj().T @ v0
     phases = np.exp(np.outer(tgrid, lam))

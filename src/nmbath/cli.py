@@ -508,7 +508,9 @@ _HELP = {
 }
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="nmbath",
         description="Non-Markovian open-system dynamics with a random dissipation rate",
@@ -522,12 +524,6 @@ def build_parser():
         p.add_argument("--trajectories", type=int, default=None,
                        help="override solver.trajectories")
     return parser
-
-
-@functools.cache
-def _parser():
-    """The parser of :func:`build_parser`, built on first use and kept for the process."""
-    return build_parser()
 
 
 def main(argv=None):

@@ -289,15 +289,6 @@ def volterra_propagator_series(model: ModelSpec, tgrid, kernel=None):
     return maps
 
 
-def _unitary_factorization(model):
-    """(W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, for the evolution between events."""
-    H = np.asarray(model.hamiltonian, dtype=complex)
-    energies, basis = np.linalg.eigh(H)
-    d = H.shape[0]
-    lam = -1j * (np.tile(energies, d) - np.repeat(energies, d))
-    return np.kron(basis.conj(), basis), lam
-
-
 def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig):
     """Monte Carlo unraveling; returns the averaged result with standard errors.
 
@@ -306,7 +297,8 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig):
     the trajectory without events.  So an entry that no trajectory has moved
     off a(t), as at t = 0, has a standard error of exactly 0.
     ``meta["route"]`` is "count_histogram" when nothing evolves between
-    events (L_H identically zero) and "eigenbasis" otherwise.
+    events (L_H identically zero) and "eigenbasis" otherwise, where the
+    engine works in the eigenbasis of the model's Hamiltonian.
     """
     rho0 = qops.require_density_matrix(rho0)
     tgrid, _ = _check_grid(tgrid)
@@ -327,16 +319,15 @@ def mc_trajectories(model: ModelSpec, rho0, tgrid, cfg: MCConfig):
         # reversed string: its renewal average solves the effective equation
         tag, composition = "mc_renewal", "reversed"
 
-    unitary = _unitary_factorization(model) if model.L_H.any() else None
-
+    H = model.hamiltonian if model.L_H.any() else None
     mean, stderr = _mc.run_trajectories(
-        qops.vectorize(rho0), tgrid, ev_times, ev_off, unitary, E, composition=composition)
+        qops.vectorize(rho0), tgrid, ev_times, ev_off, H, E, composition=composition)
     d = model.dim
     states = mean.reshape(-1, d, d, order="F")
     errs = stderr.reshape(-1, d, d, order="F")
     drift, mineig = _diagnose(states)
     meta = {"scheme": cfg.scheme,
-            "route": "count_histogram" if unitary is None else "eigenbasis",
+            "route": "count_histogram" if H is None else "eigenbasis",
             "events": int(ev_off[-1]),
             "events_max_per_traj": int(np.diff(ev_off).max())}
     return EvolutionResult(tgrid, states, tag, drift, mineig, stderr=errs,

@@ -644,6 +644,12 @@ class TestEventSampling:
             counts = np.diff(offsets)
             assert counts.min() == 0 and counts.max() > 1
 
+    def test_no_trajectories(self):
+        # n = 0 draws no round at all
+        for sample in (_mc.sample_frozen_events, _mc.sample_renewal_events):
+            times, offsets = sample(3, 0, 2.5, np.array([2.2]), np.array([1.0]))
+            assert times.size == 0 and np.array_equal(offsets, [0])
+
     def test_streams_share_no_state(self):
         # the states of the first 64 draws of 1000 trajectories are all distinct
         states = _mc._stream_init(3, 1000)[:, None] + np.arange(1, 65, dtype=np.uint64) * _mc._GOLDEN
@@ -809,7 +815,7 @@ class TestEigenbasisRoute:
 
     def moments(self, model, tg, times, off, composition):
         return _mc.run_trajectories(self.V0[model.dim], tg, times, off,
-                                    dynamics._unitary_factorization(model),
+                                    model.hamiltonian,
                                     model.E, composition=composition)
 
     def assert_matches_reference(self, model, tg, times, off, composition):
@@ -850,6 +856,23 @@ class TestEigenbasisRoute:
             mean, stderr = self.moments(model, tg, times, off, composition)
             assert np.max(np.abs(mean[0] - self.V0[model.dim])) < 1e-15
             assert not np.any(stderr[0]) and np.all(stderr[1:].max(axis=1) > 0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_frequencies_match_the_count_histogram(self, d):
+        # H = c I: one frequency bin, 0, and none positive; a trajectory is E^N(t) v0
+        E = qops.jump_superoperator(random_normalized_jumps(np.random.default_rng(31), d=d))
+        tg = nm.time_grid(3.0, 30)
+        rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(3, 200, tg[-1], rates, weights)
+            ref_mean, ref_stderr = _mc.run_trajectories(self.V0[d], tg, times, off, None, E,
+                                                        composition=composition)
+            for H in (0.7 * np.eye(d), np.zeros((d, d))):
+                mean, stderr = _mc.run_trajectories(self.V0[d], tg, times, off, H, E,
+                                                    composition=composition)
+                assert np.max(np.abs(mean - ref_mean)) < 1e-12
+                assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
 
     def test_blocks_of_trajectories(self, monkeypatch):
         model = self.models()[1]
@@ -915,20 +938,35 @@ def test_mean_is_hermitian(route, d):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     model = nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng, d=d),
                          TestEigenbasisRoute.ENSEMBLE, "schroedinger")
-    unitary = dynamics._unitary_factorization(model) if route == "eigenbasis" else None
+    H = model.hamiltonian if route == "eigenbasis" else None
     v0 = qops.vectorize(random_density(rng, d))
     tg = nm.time_grid(3.0, 30)
     ens = model.ensemble
     for sample, composition in ((_mc.sample_frozen_events, "forward"),
                                 (_mc.sample_renewal_events, "reversed")):
         times, off = sample(5, 300, tg[-1], ens.rates, ens.weights)
-        mean, stderr = _mc.run_trajectories(v0, tg, times, off, unitary, model.E,
+        mean, stderr = _mc.run_trajectories(v0, tg, times, off, H, model.E,
                                             composition=composition)
         mean, stderr = (a.reshape(-1, d, d, order="F") for a in (mean, stderr))
         assert np.array_equal(mean, mean.conj().transpose(0, 2, 1))
         assert np.array_equal(stderr, stderr.transpose(0, 2, 1))
         assert not np.any(np.diagonal(mean, axis1=1, axis2=2).imag)
         assert np.all(stderr[1:].max(axis=(1, 2)) > 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sorted_frequencies_are_odd(d):
+    # the eigenbasis route takes D(-s) as D(s) reversed, which needs
+    # omega[::-1] == -omega exactly, degenerate spectra included
+    rng = np.random.default_rng(40 + d)
+    A = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    hamiltonians = [*(A + A.conj().transpose(0, 2, 1)),
+                    *(np.diag(rng.integers(-2, 3, size=d)).astype(float) for _ in range(10))]
+    for H in hamiltonians:
+        W, lam = _mc._eigenbasis(H)
+        assert np.array_equal(lam.imag[::-1], -lam.imag)
+        assert np.allclose(W @ np.diag(np.exp(0.3 * lam)) @ W.conj().T,
+                           scipy.linalg.expm(0.3 * qops.hamiltonian_liouvillian(H)), atol=1e-12)
 
 
 class TestInvariants:

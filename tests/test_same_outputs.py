@@ -1,0 +1,48 @@
+"""``tools/same_outputs.py`` reports what differs between two runs of one job."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools"))
+import same_outputs  # noqa: E402
+
+HEADER = "t,rho_00_re\n"
+
+
+def job_result(root, code, stderr, files):
+    os.makedirs(root / "out")
+    (root / "exit").write_text(f"{code}\n")
+    (root / "stderr").write_text(stderr)
+    for name, text in files.items():
+        (root / "out" / name).write_text(text)
+    return str(root)
+
+
+def test_identical_results_report_nothing(tmp_path):
+    files = {"a.csv": HEADER + "0.0,1.0\n", "s.json": "{}"}
+    assert same_outputs.compare(job_result(tmp_path / "old", 0, "", files),
+                                job_result(tmp_path / "new", 0, "", files)) == []
+
+
+def test_each_difference_is_reported(tmp_path):
+    old = job_result(tmp_path / "old", 0, "", {
+        "a.csv": HEADER + "0.0,4.0\n1.0,-2.0\n", "b.csv": HEADER + "0.0,1.0\n",
+        "s.json": "{}", "gone.csv": HEADER})
+    new = job_result(tmp_path / "new", 3, "runtime error: x\n", {
+        "a.csv": HEADER + "0.0,4.0\n1.0,-2.5\n", "b.csv": "t,other\n0.0,1.0\n",
+        "s.json": "{ }"})
+    assert same_outputs.compare(old, new) == [
+        "exit differs", "stderr differs",
+        "files only in old: ['gone.csv'], only in new: []",
+        "a.csv differs, largest change 1.25e-01 of its largest value",
+        "b.csv differs", "s.json differs"]
+
+
+@pytest.mark.parametrize("old,new,change", [("-0.0", "0.0", 0.0), ("nan", "nan", 0.0),
+                                             ("0.0", "1e-300", 1e-300)])
+def test_csv_change_edge_cells(tmp_path, old, new, change):
+    (tmp_path / "old.csv").write_text(f"{HEADER}{old},0.0\n")
+    (tmp_path / "new.csv").write_text(f"{HEADER}{new},0.0\n")
+    assert same_outputs.csv_change(tmp_path / "old.csv", tmp_path / "new.csv") == change
