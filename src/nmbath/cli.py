@@ -2,13 +2,15 @@
 
 Subcommands: kernel, evolve, correlate, cpcheck, fitpow.  All outputs are
 deterministic for a fixed config and seed: CSV with 17 significant digits and
-LF endings, JSON with sorted keys.  Exit codes: 0 success, 2 configuration
-error, 3 solver/runtime error.
+LF endings, JSON with sorted keys.  Each command runs numpy's OpenBLAS on one
+thread, so they are byte-identical whatever the host's core count.  Exit
+codes: 0 success, 2 configuration error, 3 solver/runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -526,8 +528,49 @@ def _parser():
     return parser
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
+
+    The library is found among the files mapped into the process; its entry
+    points are named as in numpy 2's wheels (ILP64, prefixed), then as in a
+    plain ILP64 or LP64 build.  Other BLAS libraries are left alone.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+        except OSError:
+            pass
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        for lib in libs:
+            try:
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
+    # one BLAS thread, whatever the host has: outputs then do not depend on
+    # its core count, and no OpenBLAS worker is left busy-waiting after the
+    # products that would wake it (README "CLI")
+    blas = _blas_threads()
+    if blas is not None:
+        get, put = blas
+        threads = get()
+        put(1)
     try:
         # overflow surfaces as FloatingPointError (exit 3), not as a stream of warnings
         with np.errstate(over="raise", invalid="raise"):
@@ -538,6 +581,9 @@ def main(argv=None):
     except (SolverError, ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if blas is not None:
+            put(threads)
 
 
 if __name__ == "__main__":

@@ -137,9 +137,7 @@ def expm1(apply, h, norm, shape):
     E = expm - I, not expm = I + E, keeps round-off relative to E: a step map
     close to I rounds its trace-preserving column sums by about eps |E|, not
     eps.  No eigenvectors are formed, so a defective G (an exceptional point)
-    costs no accuracy, and no LAPACK solve is made: scipy.linalg.expm's wakes
-    OpenBLAS worker threads, even for 8x8 matrices, and they keep a second
-    core spinning after the call returns.
+    costs no accuracy.
     """
     squarings = max(0, int(np.frexp(norm)[1]))
     scale = 2.0 ** -squarings

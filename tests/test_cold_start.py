@@ -1,7 +1,8 @@
-"""A fresh interpreter, as every CLI call starts one.
+"""A fresh interpreter, as every CLI call starts one, and the BLAS threads a command runs on.
 
-In-process tests cannot show these: pytest has already imported scipy
-through ``tests/helpers.py``.
+The child interpreters show what in-process tests cannot: pytest has already
+imported scipy through ``tests/helpers.py``, and earlier tests' BLAS calls
+may have woken OpenBLAS worker threads.
 """
 
 import json
@@ -9,6 +10,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nmbath import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,9 +33,28 @@ grid.steps = 50
 solver.methods = ensemble
 """
 
+# a sweep_manifold job (seed 2222, block 0, job 56): both deterministic
+# solvers on 58 levels, whose products are large enough to wake an OpenBLAS
+# worker thread
+MANIFOLD_CFG = """\
+ensemble.type = manifold
+ensemble.gamma = 1.0
+ensemble.a = 0.452546
+ensemble.b = 0.374786
+ensemble.n = 58
+model.picture = schroedinger
+model.omega = 1.947686
+grid.steps = 2000
+solver.methods = ensemble,volterra
+"""
 
-def run_python(*args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+needs_threads = pytest.mark.skipif(
+    cli._blas_threads() is None or (os.cpu_count() or 1) < 2,
+    reason="needs numpy's OpenBLAS and at least two cores")
+
+
+def run_python(*args, **env):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 
@@ -65,3 +90,78 @@ def test_exceptional_point_evolve_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "0 []"
     summary = json.loads((out / "evolve_summary.json").read_text())
     assert "meta" not in summary
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MANIFOLD_CFG)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        proc = run_python("-m", "nmbath.cli", "evolve", "--config", str(cfg), "--out", str(out),
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert list(outputs[0]) == ["evolve_ensemble.csv", "evolve_summary.json",
+                                "evolve_volterra.csv"]
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
+
+
+@needs_threads
+def test_no_blas_worker_spins_after_a_command(tmp_path):
+    # an OpenBLAS worker that a product woke busy-waits after the call
+    # returns (about 0.1 s of CPU); on one thread none is woken
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MANIFOLD_CFG)
+    argv = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = run_python("-c", "import resource, time; from nmbath import cli; "
+                      f"code = cli.main({argv!r}); "
+                      "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2]); "
+                      "start = cpu(); time.sleep(0.3); print(code, cpu() - start)",
+                      OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    code, spin = proc.stdout.split()
+    assert code == "0"
+    assert float(spin) < 0.03
+
+
+@needs_threads
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_runs_on_one_blas_thread_and_restores_the_callers(monkeypatch, fails):
+    get, put = cli._blas_threads()
+    seen = []
+
+    def command(args):
+        seen.append(get())
+        if fails:
+            raise RuntimeError("failed")
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "fitpow", command)
+    before = get()
+    try:
+        put(2)
+        assert cli.main(["fitpow", "--config", "unused.cfg"]) == (3 if fails else 0)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_numpys_openblas_is_found():
+    # a numpy whose OpenBLAS renames its entry points would otherwise run the
+    # CLI on the host's thread count without any test failing
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        pytest.skip("numpy does not report its BLAS")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}")
+    get, put = cli._blas_threads()
+    before = get()
+    try:
+        put(1)
+        assert get() == 1
+    finally:
+        put(before)
