@@ -147,10 +147,13 @@ class EvolutionResult:
 
 
 def _diagnose(states):
-    herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
+    """|tr rho - 1| and the smallest eigenvalue of the Hermitian part of rho, at every time.
+
+    The eigenvalue comes from :func:`qops.min_hermitian_eigenvalue`: in
+    closed form for a qubit, by blocks of the common zero pattern otherwise.
+    """
     drift = np.abs(np.einsum("tii->t", states) - 1.0)
-    mineig = np.linalg.eigvalsh(herm)[:, 0]
-    return drift, mineig
+    return drift, qops.min_hermitian_eigenvalue(states)
 
 
 def _check_grid(tgrid):
@@ -194,7 +197,7 @@ def _embedding_expm1(L, L_H, kernel, h, sets):
         m_j' = c_j L x + (p_j + L_H) m_j
 
     ``sets`` is a (sets, k) array of coupled sets of components (see
-    :func:`_coupled_sets`); the result is one map (sets, S, S), S = k (n+1),
+    :func:`qops.coupled_sets`); the result is one map (sets, S, S), S = k (n+1),
     for y restricted to each set, summed by :func:`qops.expm1`.  The
     1-norm bound is that of the whole L and L_H, so the scaling and the
     Taylor cut do not depend on the split.  G is applied block by block,
@@ -221,28 +224,13 @@ def _embedding_expm1(L, L_H, kernel, h, sets):
     return qops.expm1(apply, h, norm, (count, size, size))
 
 
-def _coupled_sets(L, L_H):
-    """The sets of components of x that L or L_H couple, directly or through one another.
-
-    The embedding G mixes two components only through an entry of L or L_H,
-    so components in different sets never mix, and each set evolves under
-    its own step map; under dephasing every component is a set of its own.
-    Sets of one size are stacked: the result is one (sets, size) index array
-    per size.
-    """
-    D = L.shape[0]
-    reach = (L != 0) | (L_H != 0)
-    reach |= reach.T | np.eye(D, dtype=bool)
-    for _ in range(D.bit_length()):
-        reach = reach @ reach
-    sets = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
-    return [np.array([s for s in sets if s.size == size]) for size in {s.size for s in sets}]
-
-
 def _volterra_run(model, x0, tgrid, kernel):
     """x_k = P Phi^k (x0, 0) at every grid time; ``x0`` is a state (d^2,) or a map (d^2, d^2).
 
-    Each coupled set of components runs on its own step map.
+    The embedding G mixes two components of x only through an entry of L or
+    L_H, so the sets that those entries couple (:func:`qops.coupled_sets`)
+    never mix, and each runs on its own step map; under dephasing every
+    component is a set of its own.
     """
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
@@ -250,7 +238,7 @@ def _volterra_run(model, x0, tgrid, kernel):
     L, L_H = model.L, model.L_H
     nt = tgrid.size - 1
     out = np.empty((nt + 1,) + x0.shape, dtype=complex)
-    for group in _coupled_sets(L, L_H):
+    for group in qops.coupled_sets((L != 0) | (L_H != 0)):
         # y0 = (x0, 0): the memory variables start at zero
         y0 = np.pad(x0[group].reshape(group.shape + (-1,)),
                     ((0, 0), (0, group.shape[1] * kernel.n_modes), (0, 0)))

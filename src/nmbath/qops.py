@@ -259,8 +259,57 @@ def choi_matrix(superop):
 
 
 def choi_min_eigenvalue(superop):
-    """Smallest Choi eigenvalue of a map, or of each map in a stack; >= -1e-10 certifies CP."""
-    choi = choi_matrix(superop)
-    choi = 0.5 * (choi + np.conj(np.swapaxes(choi, -1, -2)))
-    out = np.linalg.eigvalsh(choi)[..., 0]
+    """Smallest Choi eigenvalue of a map, or of each map in a stack; >= -1e-10 certifies CP.
+
+    By :func:`min_hermitian_eigenvalue`: the reshuffle keeps the zeros of the
+    superoperator, so a dephasing map splits into blocks of one and two rows
+    and needs no eigensolver.
+    """
+    return min_hermitian_eigenvalue(choi_matrix(superop))
+
+
+def coupled_sets(pattern):
+    """The sets of indices that a (D, D) boolean ``pattern`` couples, directly or through one another.
+
+    Index i and j are coupled when pattern[i, j] or pattern[j, i] holds; the
+    sets are the connected components of that graph, each index sorted.  Sets
+    of one size are stacked: the result is one (sets, size) index array per
+    size.
+    """
+    D = pattern.shape[0]
+    reach = pattern | pattern.T | np.eye(D, dtype=bool)
+    for _ in range(D.bit_length()):
+        reach = reach @ reach
+    sets = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+    return [np.array([s for s in sets if s.size == size]) for size in {s.size for s in sets}]
+
+
+def min_hermitian_eigenvalue(mats):
+    """Smallest eigenvalue of the Hermitian part (M + M^dag)/2 of a matrix, or of each in a stack.
+
+    Small matrices only: the stack (..., D, D) is split along the union of its
+    nonzero patterns over the whole stack into the blocks of
+    :func:`coupled_sets`, whose spectra together are the matrix's.  A 1 x 1
+    block is its real diagonal a; a 2 x 2 block [[a, b], [b*, d]] has the
+    smallest eigenvalue (a + d)/2 - hypot((a - d)/2, |b|); larger blocks of
+    one size go to one stacked ``eigvalsh``.  So a qubit state needs no
+    eigensolver.  A single matrix gives a float.
+    """
+    mats = np.asarray(mats)
+    stack = mats.reshape((-1,) + mats.shape[-2:])
+    out = np.full(stack.shape[0], np.inf)
+    for sets in coupled_sets(stack.any(axis=0)):
+        # (n, sets, k, k)
+        block = stack[:, sets[:, :, None], sets[:, None]]
+        if sets.shape[1] == 1:
+            low = block[..., 0, 0].real
+        elif sets.shape[1] == 2:
+            a, d = block[..., 0, 0].real, block[..., 1, 1].real
+            b = 0.5 * (block[..., 0, 1] + np.conj(block[..., 1, 0]))
+            low = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
+        else:
+            herm = 0.5 * (block + np.conj(np.swapaxes(block, -1, -2)))
+            low = np.linalg.eigvalsh(herm)[..., 0]
+        np.minimum(out, low.min(axis=1), out=out)
+    out = out.reshape(mats.shape[:-2])
     return out if out.ndim else float(out)

@@ -289,29 +289,43 @@ class FractionalKernelModel:
     cutoff: float
     amplitude: float
 
-    def _sigma(self, u):
-        return (u + self.cutoff) ** self.alpha - self.cutoff ** self.alpha
+    def _b_sigma(self, u):
+        """fluctuation_rate**(1-alpha) * sigma(u), the one complex power of every transform."""
+        b = self.fluctuation_rate ** (1.0 - self.alpha)
+        return b * ((u + self.cutoff) ** self.alpha - self.cutoff ** self.alpha)
 
     def w_of_u(self, u):
         u = np.asarray(u, dtype=complex)
-        b = self.fluctuation_rate ** (1.0 - self.alpha)
-        out = self.mean_rate / (u + self.mean_rate + b * self._sigma(u))
+        out = self.mean_rate / (u + self.mean_rate + self._b_sigma(u))
         return out if out.ndim else complex(out)
 
     def kernel_of_u(self, u):
         u = np.asarray(u, dtype=complex)
-        b = self.fluctuation_rate ** (1.0 - self.alpha)
-        out = self.mean_rate / (1.0 + b * self._sigma(u) / u)
+        out = self.mean_rate / (1.0 + self._b_sigma(u) / u)
         return out if out.ndim else complex(out)
 
     def series_of_u(self, u):
         """The transforms of w, P0 = (1 - w)/u, f = w/(1 - w) and K - mean_rate, stacked.
 
-        One evaluation of w(u) serves the first three, so a single Talbot
-        inversion returns all four series.
+        sigma(u) is evaluated once per node and serves all four, so a single
+        Talbot inversion returns all four series.  Each is written in place
+        into one (4,) + u.shape array, with the operations of
+        :meth:`w_of_u` and :meth:`kernel_of_u` in their order, so the values
+        are theirs bit for bit.
         """
-        w = self.w_of_u(u)
-        return np.stack([w, (1.0 - w) / u, w / (1.0 - w), self.kernel_of_u(u) - self.mean_rate])
+        u = np.asarray(u, dtype=complex)
+        bs = self._b_sigma(u)
+        out = np.empty((4,) + u.shape, dtype=complex)
+        w, p0, f, k = out
+        np.divide(self.mean_rate, u + self.mean_rate + bs, out=w)
+        np.subtract(1.0, w, out=f)
+        np.divide(f, u, out=p0)
+        np.divide(w, f, out=f)
+        np.divide(bs, u, out=k)
+        k += 1.0
+        np.divide(self.mean_rate, k, out=k)
+        k -= self.mean_rate
+        return out
 
 
 def fractional_model(alpha, mean_rate, fluctuation_rate, mean_waiting_time):

@@ -375,7 +375,7 @@ class TestBlockedVolterra:
         D, eps = L.shape[0], np.finfo(float).eps
         whole = unsplit_expm1(model, kernel, self.H)
         offsets = D * np.arange(kernel.n_modes + 1)[:, None]
-        for group in dynamics._coupled_sets(L, L_H):
+        for group in qops.coupled_sets((L != 0) | (L_H != 0)):
             maps = dynamics._embedding_expm1(L, L_H, kernel, self.H, group)
             for phi, members in zip(maps, group):
                 idx = (offsets + members).reshape(-1)
@@ -417,7 +417,7 @@ class TestBlockedVolterra:
         for op, entries in zip((L, L_H), edges):
             for a, b in entries:
                 op[a, b] = 0.5
-        groups = dynamics._coupled_sets(L, L_H)
+        groups = qops.coupled_sets((L != 0) | (L_H != 0))
         assert sorted(s.tolist() for g in groups for s in g) == expected
 
     def test_short_grid_forms_no_power_past_its_end(self):
@@ -1012,3 +1012,63 @@ class TestInvariants:
             nm.evolve_ensemble(model, RHO_PLUS, np.array([0.0, 0.1, 0.3]))
         with pytest.raises(ValueError):
             nm.time_grid(-1.0, 10)
+
+
+class TestNoEigensolverPerGridTime:
+    """Qubit states and dephasing maps take their smallest eigenvalues without LAPACK."""
+
+    EVOLVE_CFG = ("ensemble.type = two_state\ngrid.t_max = 5.0\ngrid.steps = 200\n"
+                  "solver.methods = ensemble,volterra,mc_frozen,mc_renewal\n"
+                  "solver.trajectories = 2000\nsolver.seed = 3\n")
+    CPCHECK_CFG = ("ensemble.type = two_state\ngrid.t_max = 5.0\ngrid.steps = 200\n"
+                   "solver.methods = ensemble,volterra\n")
+
+    @staticmethod
+    def refuse_stacks(monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def single_matrices_only(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise AssertionError(f"eigvalsh on a stack of shape {np.shape(a)}")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", single_matrices_only)
+
+    @pytest.mark.parametrize("command", ["evolve", "cpcheck"])
+    def test_dephasing_qubit_commands(self, tmp_path, monkeypatch, command):
+        self.refuse_stacks(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.EVOLVE_CFG if command == "evolve" else self.CPCHECK_CFG)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_values_match_the_stacked_eigensolver(self, monkeypatch):
+        model = nm.dephasing_model(nm.two_state_ensemble(0.5, 2.0, 1.0), picture="schroedinger")
+        tg = nm.time_grid(5.0, 200)
+        eigvalsh = np.linalg.eigvalsh
+        self.refuse_stacks(monkeypatch)
+        results = [nm.evolve_ensemble(model, RHO_XY, tg), nm.evolve_volterra(model, RHO_XY, tg)]
+        maps = dynamics.ensemble_propagator_series(model, tg)
+        mins = qops.choi_min_eigenvalue(maps)
+        monkeypatch.undo()
+        for res in results:
+            herm = 0.5 * (res.states + np.conj(np.swapaxes(res.states, 1, 2)))
+            assert np.max(np.abs(res.min_eigenvalue - eigvalsh(herm)[:, 0])) <= 1e-15
+        choi = qops.choi_matrix(maps)
+        ref = eigvalsh(0.5 * (choi + np.conj(np.swapaxes(choi, 1, 2))))[:, 0]
+        assert np.max(np.abs(mins - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("start", ["random", "diagonal"])
+    def test_qutrit_matches_the_stacked_eigensolver(self, start):
+        # decay |2> -> |1> -> |0> with a dense start (one 3 x 3 block) or a
+        # diagonal one (populations only, blocks of one row)
+        ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
+        jump = np.diag([1.0, 1.0], k=1).astype(complex)
+        model = nm.ModelSpec(np.diag([1.0, 0.0, -1.0]).astype(complex), (jump,), ens,
+                             "schroedinger")
+        rho0 = (random_density(np.random.default_rng(8), 3) if start == "random"
+                else np.diag([0.1, 0.3, 0.6]).astype(complex))
+        tg = nm.time_grid(4.0, 100)
+        for res in (nm.evolve_ensemble(model, rho0, tg), nm.evolve_volterra(model, rho0, tg)):
+            herm = 0.5 * (res.states + np.conj(np.swapaxes(res.states, 1, 2)))
+            ref = np.linalg.eigvalsh(herm)[:, 0]
+            assert np.max(np.abs(res.min_eigenvalue - ref)) <= 1e-13

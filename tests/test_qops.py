@@ -302,9 +302,67 @@ class TestChoi:
     def test_transpose_map_not_cp(self):
         perm = np.arange(4).reshape(2, 2, order="F").reshape(-1, order="C")
         transpose_map = np.eye(4)[perm]
-        assert abs(qops.choi_min_eigenvalue(transpose_map) + 1.0) < 1e-12
+        single = qops.choi_min_eigenvalue(transpose_map)
+        assert isinstance(single, float) and abs(single + 1.0) < 1e-12
         mins = qops.choi_min_eigenvalue(np.stack([transpose_map, np.eye(4)]))
         assert np.allclose(mins, [-1.0, 0.0], atol=1e-12)
+
+
+class TestMinHermitianEigenvalue:
+    @staticmethod
+    def reference(stack):
+        herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+        return np.linalg.eigvalsh(herm)[..., 0]
+
+    def check(self, stack):
+        got = qops.min_hermitian_eigenvalue(stack)
+        scale = max(np.max(np.abs(stack), initial=0.0), np.finfo(float).tiny)
+        assert got.shape == stack.shape[:-2]
+        assert np.max(np.abs(got - self.reference(stack)), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_dense_stacks(self, d):
+        rng = np.random.default_rng(40 + d)
+        stack = np.array([random_hermitian(rng, d) for _ in range(50)])
+        self.check(stack)
+        # a non-Hermitian stack is read through its Hermitian part
+        self.check(stack + rng.normal(size=stack.shape))
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1), (2, 2), (1, 2, 3), (3, 1, 2, 2), (4,)])
+    def test_planted_blocks_under_permutations(self, sizes, monkeypatch):
+        rng = np.random.default_rng(sum(sizes) * 10 + len(sizes))
+        D = sum(sizes)
+        stack = np.zeros((30, D, D), dtype=complex)
+        start = 0
+        for k in sizes:
+            for M in stack:
+                M[start:start + k, start:start + k] = random_hermitian(rng, k)
+            start += k
+        for _ in range(3):
+            perm = rng.permutation(D)
+            self.check(stack[:, perm][:, :, perm])
+        if max(sizes) <= 2:
+            # blocks of up to two rows need no eigensolver
+            ref = self.reference(stack)
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)
+            got = qops.min_hermitian_eigenvalue(stack[:, perm][:, :, perm])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(stack))
+
+    def test_pattern_is_the_union_over_the_stack(self):
+        # index 0 and 2 couple at one time only; every time must see a 2 x 2 block
+        rng = np.random.default_rng(3)
+        stack = np.array([np.diag(rng.normal(size=3)).astype(complex) for _ in range(8)])
+        stack[5, 0, 2] = 0.7 + 0.2j
+        stack[5, 2, 0] = 0.7 - 0.2j
+        self.check(stack)
+        assert qops.min_hermitian_eigenvalue(stack)[5] < np.min(np.diag(stack[5]).real)
+
+    def test_zero_matrices(self):
+        for d in (1, 2, 3):
+            zeros = np.zeros((4, d, d), dtype=complex)
+            assert np.array_equal(qops.min_hermitian_eigenvalue(zeros), np.zeros(4))
+        single = qops.min_hermitian_eigenvalue(np.zeros((2, 2)))
+        assert isinstance(single, float) and single == 0.0
 
 
 class TestMapInvariants:

@@ -481,6 +481,21 @@ class TestTalbot:
         at_one = rb.talbot_invert(model.series_of_u, t[5])
         assert at_one.shape == (4,) and np.array_equal(at_one, stacked[:, 5])
 
+    @pytest.mark.parametrize("tau", [12.0, math.inf])
+    def test_series_shares_sigma_bit_for_bit(self, tau):
+        # one sigma(u) per node, the four transforms written in place
+        model = rb.fractional_model(0.4, 1.0, 1.3, tau)
+        assert (model.cutoff > 0) == (tau < math.inf)
+        rng = np.random.default_rng(21)
+        u = rng.uniform(-3.0, 3.0, (5, 16)) + 1j * rng.uniform(0.01, 3.0, (5, 16))
+        u[0, :4] = [1e-8, 250.0 + 1e3j, 0.3 - 2j, 4.0]
+        w = model.w_of_u(u)
+        expected = np.stack([w, (1.0 - w) / u, w / (1.0 - w),
+                             model.kernel_of_u(u) - model.mean_rate])
+        got = model.series_of_u(u)
+        assert got.shape == (4,) + u.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_scalar_time_returns_scalar(self):
         got = rb.talbot_invert(lambda u: 1.0 / (u + 1.0), 2.0)
         assert isinstance(got, float)

@@ -36,8 +36,20 @@ def test_each_difference_is_reported(tmp_path):
     assert same_outputs.compare(old, new) == [
         "exit differs", "stderr differs",
         "files only in old: ['gone.csv'], only in new: []",
-        "a.csv differs, largest change 1.25e-01 of its largest value",
+        "a.csv differs, largest change 1.25e-01 of its largest value (rho_00_re 1.25e-01)",
         "b.csv differs", "s.json differs"]
+
+
+def test_columns_that_differ_are_named(tmp_path):
+    header = "t,min_eigenvalue,trace_drift,bloch_x\n"
+    (tmp_path / "old.csv").write_text(header + "0.0,1.0,0.0,-0.0\n8.0,-2.0,1e-16,0.5\n")
+    (tmp_path / "new.csv").write_text(header + "0.0,1.0,0.0,0.0\n8.0,-2.5,2e-16,0.5\n")
+    changes = same_outputs.column_changes(tmp_path / "old.csv", tmp_path / "new.csv")
+    # relative to the file's largest |value|, 8.0; a sign-only change is named with 0
+    assert changes == {"min_eigenvalue": 0.0625, "trace_drift": 1e-16 / 8.0, "bloch_x": 0.0}
+    assert same_outputs.csv_change(tmp_path / "old.csv", tmp_path / "new.csv") == 0.0625
+    (tmp_path / "other.csv").write_text("t,x\n0.0,1.0\n")
+    assert same_outputs.column_changes(tmp_path / "old.csv", tmp_path / "other.csv") is None
 
 
 @pytest.mark.parametrize("old,new,change", [("-0.0", "0.0", 0.0), ("nan", "nan", 0.0),

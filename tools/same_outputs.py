@@ -9,8 +9,9 @@ only read.  Every job runs in a directory of its own with relative paths, so
 the trees see the same arguments.
 
 Reports every job whose output files, exit code or stderr differ and, for each
-CSV file that differs, the largest change of a cell relative to the largest
-absolute value in the old file.  Exits 1 on any difference, 0 otherwise.
+CSV file that differs, the columns that differ and the largest change of a
+cell in each, relative to the largest absolute value in the old file.  Exits 1
+on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -92,18 +93,32 @@ def _read(path):
         return fh.read()
 
 
-def csv_change(old_path, new_path):
-    """Largest |new - old| over the cells, over the largest |old|; None if the layouts differ."""
+def column_changes(old_path, new_path):
+    """Largest |new - old| of each column that differs, over the largest |old| of the file.
+
+    A dict in header order; a cell differs when its value or its sign does.
+    None if the layouts differ.
+    """
     with open(old_path, encoding="utf-8") as a, open(new_path, encoding="utf-8") as b:
-        if a.readline() != b.readline():
+        header = a.readline()
+        if header != b.readline():
             return None
         old = np.loadtxt(a, delimiter=",", ndmin=2)
         new = np.loadtxt(b, delimiter=",", ndmin=2)
     if old.shape != new.shape:
         return None
-    change = np.where(np.isnan(old) & np.isnan(new), 0.0, np.abs(new - old))
-    scale = np.max(np.abs(old[np.isfinite(old)]), initial=0.0)
-    return np.max(change, initial=0.0) / (scale or 1.0)
+    both_nan = np.isnan(old) & np.isnan(new)
+    differs = ~both_nan & ((old != new) | (np.signbit(old) != np.signbit(new)))
+    change = np.where(both_nan, 0.0, np.abs(new - old))
+    scale = np.max(np.abs(old[np.isfinite(old)]), initial=0.0) or 1.0
+    names = header.rstrip("\n").split(",")
+    return {names[j]: np.max(change[:, j]) / scale for j in np.flatnonzero(differs.any(axis=0))}
+
+
+def csv_change(old_path, new_path):
+    """Largest |new - old| over the cells, over the largest |old|; None if the layouts differ."""
+    changes = column_changes(old_path, new_path)
+    return None if changes is None else max(changes.values(), default=0.0)
 
 
 def compare(old_dir, new_dir):
@@ -121,11 +136,14 @@ def compare(old_dir, new_dir):
         a, b = os.path.join(old_out, name), os.path.join(new_out, name)
         if _read(a) == _read(b):
             continue
-        change = csv_change(a, b) if name.endswith(".csv") else None
-        if change is None:
+        changes = column_changes(a, b) if name.endswith(".csv") else None
+        if changes is None:
             found.append(f"{name} differs")
         else:
-            found.append(f"{name} differs, largest change {change:.2e} of its largest value")
+            columns = ", ".join(f"{col} {change:.2e}" for col, change in changes.items())
+            found.append(f"{name} differs, largest change "
+                         f"{max(changes.values(), default=0.0):.2e} of its largest value "
+                         f"({columns})")
     return found
 
 
