@@ -453,13 +453,15 @@ def cmd_cpcheck(args):
     tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), cfgmod.count(cfg, "grid.steps"))
     header, cols = ["t"], [tg]
     summary = {"tolerance": -1e-8, "solvers": {}}
+    # the Choi diagonal is S[i + d i, a + d a], a outer and i inner
+    diag = np.arange(model.dim) * (model.dim + 1)
     for method in methods:
         if method == "ensemble":
             maps = ensemble_propagator_series(model, tg)
         else:
             maps = volterra_propagator_series(model, tg)
         mins = qops.choi_min_eigenvalue(maps)
-        traces = np.trace(qops.choi_matrix(maps), axis1=1, axis2=2).real
+        traces = maps[:, diag, diag[:, None]].reshape(tg.size, -1).sum(-1).real
         header.extend([f"min_choi_{method}", f"choi_trace_{method}"])
         cols.extend([mins, traces])
         summary["solvers"][method] = {

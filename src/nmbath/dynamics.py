@@ -6,15 +6,14 @@ Three mutually validating routes:
   Lindblad propagations, each in blocked powers of its step map as below.
   Reference for every cross-check.
 * ``evolve_volterra`` - solves the effective memory-kernel equation
-  d rho/dt = L_H rho + int K(t-s) exp((t-s) L_H) L rho(s) ds.  The kernel
-  K(t) = kappa delta(t) + sum_j c_j exp(p_j t) is a sum of exponentials, so
-  one auxiliary memory variable per pole makes the equation a Markovian
-  embedding (the pseudomode construction): a linear ODE with a constant
-  generator on (rho, m_1..m_n).  Each grid step applies its exact
-  propagator Phi = expm(h G), so the only error is round-off.  The grid is
-  taken in blocks of B steps, rho_{jB+i} = (P Phi^i)(Phi^B)^j y0: about
-  2 log2 B + nt/B matrix products and one stacked product replace nt
-  matrix-vector steps.
+  d rho/dt = L_H rho + int K(t-s) exp((t-s) L_H) L rho(s) ds, the renewal
+  average over the rates.  One copy y_R of the state per rate, with the
+  event acting on the mixture rho = sum_R P_R y_R, makes it a Markovian
+  embedding with no kernel poles: a linear ODE with a constant generator on
+  (y_1..y_R).  Each grid step applies its exact propagator Phi = expm(h G),
+  so the only error is round-off.  The grid is taken in blocks of B steps,
+  rho_{jB+i} = (P Phi^i)(Phi^B)^j y0: about 2 log2 B + nt/B matrix products
+  and one stacked product replace nt matrix-vector steps.
 * ``mc_trajectories`` - stochastic unravelings applying the event map E at
   random times: ``frozen_rate`` draws one rate per trajectory (converges to
   the exact average), ``renewal`` draws i.i.d. waiting times from the mixture
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import _mc, qops
 from .qops import SIGMA_Z
-from .ratebath import RateEnsemble, KernelDecomposition, kernel_decompose
+from .ratebath import RateEnsemble
 
 PICTURES = ("interaction", "schroedinger")
 
@@ -187,93 +186,83 @@ def ensemble_propagator_series(model: ModelSpec, tgrid):
     return rate_stack(model).average(tgrid, np.eye(model.dim ** 2)[None])
 
 
-def _embedding_expm1(L, L_H, kernel, h, sets):
-    """expm(h G) - I for the generator G of the Markovian embedding y = (x, m_1..m_n).
+def _embedding_expm1(model, h, sets):
+    """expm(h G) - I for the generator G of the rate-basis embedding y = (y_1..y_R).
 
-    The memory variables m_j(t) = int_0^t c_j exp((t-s)(p_j + L_H)) L x(s) ds
-    turn the memory-kernel equation into the linear ODE y' = G y:
+    One copy y_R of the state per rate, all starting at x0, with x = sum_R P_R y_R:
 
-        x'   = (L_H + kappa L) x + sum_j m_j
-        m_j' = c_j L x + (p_j + L_H) m_j
+        y_R' = L_H y_R + gamma_R (E x - y_R),   E = L + I
 
-    ``sets`` is a (sets, k) array of coupled sets of components (see
-    :func:`qops.coupled_sets`); the result is one map (sets, S, S), S = k (n+1),
-    for y restricted to each set, summed by :func:`qops.expm1`.  The
-    1-norm bound is that of the whole L and L_H, so the scaling and the
-    Taylor cut do not depend on the split.  G is applied block by block,
-    which costs O(n k^2) per column where a dense product costs O(n^2 k^2).
+    In the Laplace domain x = (1 - w E)^-1 P0 x0, with w and P0 taken at
+    u - L_H: the renewal average, which is the memory-kernel equation.  It is
+    the ensemble generator G_R = L_H + gamma_R (E - I) with the event acting on
+    the rate mixture, not on y_R alone.  ``sets`` is a (sets, k) array of
+    coupled sets of components (see :func:`qops.coupled_sets`); the result is
+    one map (sets, S, S), S = k R, for y restricted to each set, summed by
+    :func:`qops.expm1`.  The 1-norm bound is that of the whole L and L_H, so
+    the scaling and the Taylor cut do not depend on the split.  G is applied
+    block by block, which costs O(R k^2) per column where a dense product
+    costs O(R^2 k^2).
     """
-    A = L_H + kernel.markov_weight * L
-    c = np.reshape(kernel.amplitudes, (-1, 1, 1))
-    p = np.reshape(kernel.poles, (-1, 1, 1))
-    # largest column sum over the x block and the m_j blocks of G
-    norm = h * max(np.linalg.norm(A, 1) + np.abs(c).sum() * np.linalg.norm(L, 1),
-                   1.0 + np.abs(p).max(initial=0.0) + np.linalg.norm(L_H, 1))
+    rates, weights = model.ensemble.rates, model.ensemble.weights
+    E = model.L + np.eye(model.dim ** 2)
+    # largest column sum of G: the y_R block plus the event column it feeds
+    norm = h * (np.linalg.norm(model.L_H, 1) + rates.max()
+                + weights.max() * rates.sum() * np.linalg.norm(E, 1))
     block = sets[:, :, None], sets[:, None]
-    A, L, L_H = A[block], L[block], L_H[block]
+    E, L_H = E[block], model.L_H[block]
     count, k = sets.shape
-    size = k * (kernel.n_modes + 1)
+    size = k * rates.size
+    rates = rates[:, None, None]
 
     def apply(term):
-        term = term.reshape(count, -1, k, size)
-        x, m = term[:, 0], term[:, 1:]
-        return np.concatenate([(A @ x + m.sum(axis=1))[:, None],
-                               c * (L @ x)[:, None] + p * m + L_H[:, None] @ m],
-                              axis=1).reshape(count, size, size)
+        y = term.reshape(count, -1, k, size)
+        x = (weights @ term.reshape(count, -1, k * size)).reshape(count, 1, k, size)
+        return (L_H[:, None] @ y + rates * (E[:, None] @ x - y)).reshape(count, size, size)
 
     return qops.expm1(apply, h, norm, (count, size, size))
 
 
-def _volterra_run(model, x0, tgrid, kernel):
-    """x_k = P Phi^k (x0, 0) at every grid time; ``x0`` is a state (d^2,) or a map (d^2, d^2).
+def _volterra_run(model, x0, tgrid):
+    """x_k = P Phi^k (x0, .., x0) at every grid time, x0 a state (d^2,) or a map (d^2, d^2).
 
-    The embedding G mixes two components of x only through an entry of L or
-    L_H, so the sets that those entries couple (:func:`qops.coupled_sets`)
-    never mix, and each runs on its own step map; under dephasing every
-    component is a set of its own.
+    P = kron(weights, I) takes x = sum_R P_R y_R.  The embedding G mixes two
+    components of the state only through an entry of L or L_H, so the sets
+    that those entries couple (:func:`qops.coupled_sets`) never mix, and each
+    runs on its own step map; under dephasing every component is a set of its
+    own.
     """
     tgrid, h = _check_grid(tgrid)
     if tgrid[0] != 0.0:
         raise ValueError("Volterra integration must start at t = 0")
     L, L_H = model.L, model.L_H
+    weights = model.ensemble.weights
     nt = tgrid.size - 1
     out = np.empty((nt + 1,) + x0.shape, dtype=complex)
     for group in qops.coupled_sets((L != 0) | (L_H != 0)):
-        # y0 = (x0, 0): the memory variables start at zero
-        y0 = np.pad(x0[group].reshape(group.shape + (-1,)),
-                    ((0, 0), (0, group.shape[1] * kernel.n_modes), (0, 0)))
-        step = _embedding_expm1(L, L_H, kernel, h, group)
-        powers = qops.block_powers(step, y0, nt, group.shape[1])
+        # y_R(0) = x0 for every rate
+        y0 = np.tile(x0[group].reshape(group.shape + (-1,)), (1, weights.size, 1))
+        step = _embedding_expm1(model, h, group)
+        powers = qops.block_powers(step, y0, nt, np.kron(weights, np.eye(group.shape[1])))
         out[:, group] = powers.reshape((nt + 1,) + x0[group].shape)
     if not np.all(np.isfinite(out)):
-        raise SolverError("Volterra solution is not finite; the kernel has a growing mode")
+        raise SolverError("Volterra solution is not finite")
     return tgrid, out
 
 
-def evolve_volterra(model: ModelSpec, rho0, tgrid,
-                    kernel: KernelDecomposition | None = None) -> EvolutionResult:
-    """Integrate the effective memory-kernel evolution.
-
-    The kernel defaults to the exact partial-fraction decomposition of the
-    model ensemble.
-    """
+def evolve_volterra(model: ModelSpec, rho0, tgrid) -> EvolutionResult:
+    """Integrate the effective memory-kernel evolution."""
     rho0 = qops.require_density_matrix(rho0)
-    if kernel is None:
-        kernel = kernel_decompose(model.ensemble)
     v0 = qops.vectorize(rho0)
-    tgrid, vecs = _volterra_run(model, v0, tgrid, kernel)
+    tgrid, vecs = _volterra_run(model, v0, tgrid)
     states = vecs.reshape(-1, model.dim, model.dim, order="F")
     drift, mineig = _diagnose(states)
     return EvolutionResult(tgrid, states, "volterra", drift, mineig)
 
 
-def volterra_propagator_series(model: ModelSpec, tgrid, kernel=None):
+def volterra_propagator_series(model: ModelSpec, tgrid):
     """Propagate the identity map through the Volterra scheme (for CP checks)."""
-    if kernel is None:
-        kernel = kernel_decompose(model.ensemble)
-    dsq = model.dim ** 2
-    x0 = np.eye(dsq, dtype=complex)
-    _, maps = _volterra_run(model, x0, tgrid, kernel)
+    _, maps = _volterra_run(model, np.eye(model.dim ** 2, dtype=complex), tgrid)
     return maps
 
 

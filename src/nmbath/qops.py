@@ -156,8 +156,8 @@ def expm1(apply, h, norm, shape):
     return ex
 
 
-def block_powers(step, y0, nt, D, weights=None):
-    """x_k = P Phi^k y0 for k <= nt, for a stack of step maps; P keeps the first D rows.
+def block_powers(step, y0, nt, P, weights=None):
+    """x_k = P Phi^k y0 for k <= nt, for a stack of step maps and output rows P (D, S).
 
     ``step`` is the stack Phi - I, (n, S, S), as :func:`expm1` returns it,
     and ``y0`` is (n, S, c).  In blocks of B steps, x_{jB+i} = R_i z_j with
@@ -172,10 +172,11 @@ def block_powers(step, y0, nt, D, weights=None):
     nt.
     """
     n, S, c = y0.shape
+    D = P.shape[0]
     log_b = max((S // D - 1).bit_length(), nt.bit_length() // 2)
     B = 1 << min(log_b, max(nt.bit_length() - 1, 0))
     # rows by doubling: [R_0..R_{m-1}; (R_0..R_{m-1}) Phi^m], m = 1, 2, .., B/2
-    rows = np.tile(np.eye(D, S, dtype=complex), (n, 1, 1))
+    rows = np.tile(P.astype(complex), (n, 1, 1))
     while rows.shape[1] < B * D:
         rows = np.concatenate([rows, rows + rows @ step], axis=1)
         step = 2.0 * step + step @ step
@@ -224,7 +225,7 @@ class _RateStack:
         y0 = np.broadcast_to(y0, (self.weights.size,) + y0.shape[1:])
         if t0 != 0.0:
             y0 = y0 + self._expm1(t0) @ y0
-        out = block_powers(self._expm1(h), y0, nt, y0.shape[1], weights)
+        out = block_powers(self._expm1(h), y0, nt, np.eye(y0.shape[1]), weights)
         return out, X.shape[1:]
 
     def per_rate(self, times, X):

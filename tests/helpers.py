@@ -3,8 +3,9 @@
 They evaluate each fixed-rate propagator densely with scipy.linalg.expm (a
 Pade approximant), so they stay independent of the Taylor step maps in
 blocked powers that the package uses; scipy is a test dependency only.
-The Laplace-domain memory superoperator, the resolvent and the small
-conveniences below are the test suite's own: no command runs them.
+The Laplace-domain memory superoperator, the pole-basis (pseudomode)
+Volterra reference, the resolvent and the small conveniences below are the
+test suite's own: no command runs them.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.linalg
 
 from nmbath import _mc, dynamics, qops, qrt
 from nmbath.qops import SIGMA_Z, vectorize
-from nmbath.ratebath import rate_ensemble, survival, w_of_u
+from nmbath.ratebath import kernel_decompose, rate_ensemble, survival, w_of_u
 
 
 def single_rate_ensemble(rate):
@@ -237,19 +238,57 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
     return mean, np.sqrt(var / n)
 
 
-def unsplit_expm1(model, kernel, h):
-    """Phi - I for the step map Phi of the whole embedding, every component of x in one set."""
-    L, L_H = model.L, model.L_H
-    return dynamics._embedding_expm1(L, L_H, kernel, h, np.arange(L.shape[0])[None])[0]
+def unsplit_expm1(model, h):
+    """Phi - I for the step map Phi of the whole rate-basis embedding, all components in one set."""
+    return dynamics._embedding_expm1(model, h, np.arange(model.dim ** 2)[None])[0]
 
 
-def volterra_stepped(model, x0, tgrid, kernel):
-    """x_k = P Phi^k y0 by the plain loop y <- Phi y on the unsplit step map."""
+def rate_basis_generator(model):
+    """Dense generator of the rate-basis embedding: block (R, R') is
+    delta_RR' (L_H - gamma_R) + gamma_R P_R' (L + I)."""
+    ens, eye = model.ensemble, np.eye(model.dim ** 2)
+    return (np.kron(np.eye(ens.n), model.L_H) - np.kron(np.diag(ens.rates), eye)
+            + np.kron(np.outer(ens.rates, ens.weights), model.L + eye))
+
+
+def volterra_stepped(model, x0, tgrid):
+    """x_k = P Phi^k y0 by the plain loop y <- Phi y on the unsplit rate-basis step map."""
     tgrid, h = dynamics._check_grid(tgrid)
-    step = unsplit_expm1(model, kernel, h)
-    phi = np.eye(step.shape[0]) + step
+    phi = np.eye(model.dim ** 2 * model.ensemble.n) + unsplit_expm1(model, h)
+    rows = np.kron(model.ensemble.weights, np.eye(x0.shape[0]))
+    y = np.concatenate([x0] * model.ensemble.n)
+    out = [x0]
+    for _ in range(tgrid.size - 1):
+        y = phi @ y
+        out.append(rows @ y)
+    return np.array(out)
+
+
+def pseudomode_generator(model):
+    """Dense generator of the pole-basis embedding y = (x, m_1..m_n) of the kernel modes:
+
+        x'   = (L_H + kappa L) x + sum_j m_j
+        m_j' = c_j L x + (p_j + L_H) m_j
+
+    with K(t) = kappa delta(t) + sum_j c_j exp(p_j t) from :func:`kernel_decompose`.
+    """
+    kernel = kernel_decompose(model.ensemble)
+    L, L_H = model.L, model.L_H
+    n, eye = kernel.n_modes, np.eye(L.shape[0])
+    return np.block([
+        [L_H + kernel.markov_weight * L, np.tile(eye, n)],
+        [np.kron(kernel.amplitudes[:, None], L),
+         np.kron(np.diag(kernel.poles), eye) + np.kron(np.eye(n), L_H)]])
+
+
+def volterra_pole_basis(model, x0, tgrid):
+    """The memory-kernel solution x_k from the kernel poles: the pseudomode embedding,
+    y0 = (x0, 0), stepped with a dense scipy expm."""
+    tgrid, h = dynamics._check_grid(tgrid)
+    gen = pseudomode_generator(model)
+    phi = scipy.linalg.expm(h * gen)
     D = x0.shape[0]
-    y = np.zeros((phi.shape[0],) + x0.shape[1:], dtype=complex)
+    y = np.zeros((gen.shape[0],) + x0.shape[1:], dtype=complex)
     y[:D] = x0
     out = [x0]
     for _ in range(tgrid.size - 1):

@@ -68,7 +68,8 @@ MODEL_READERS = ("evolve", "correlate", "cpcheck")
 # other command may end in any documented exit code
 HOSTILE = {
     "zero_rates": (CUSTOM_RATES_CFG.format("0,0"), dict.fromkeys(COMMANDS, 2)),
-    "one_zero_rate": (CUSTOM_RATES_CFG.format("0,1"), {"fitpow": 0}),
+    # a rate of 0 has no kernel pole; the solvers need none
+    "one_zero_rate": (CUSTOM_RATES_CFG.format("0,1"), {"fitpow": 0, "evolve": 0, "cpcheck": 0}),
     "p_up_0": (P_UP_CFG.format(0), {}),
     "p_up_1": (P_UP_CFG.format(1), {}),
     "manifold_n_1": (MANIFOLD_ABN_CFG.format(0.3, 0.4, 1), {}),
@@ -82,8 +83,9 @@ HOSTILE = {
     "manifold_n_20": (MANIFOLD_ABN_CFG.format(0.1, 0.1, 20),
                       {"kernel": 0, "evolve": 0, "cpcheck": 0}),
     "h_matrix_3x3": (H_MATRIX_3X3_CFG, {"evolve": 2, "correlate": 2, "cpcheck": 2}),
-    # rates whose moments overflow double precision
-    "rates_1e200": (OVERFLOW_RATES_CFG, {"kernel": 3, "evolve": 3, "cpcheck": 3}),
+    # rates whose moments overflow double precision: the kernel analytics
+    # refuse them, the solvers take them
+    "rates_1e200": (OVERFLOW_RATES_CFG, {"kernel": 3, "evolve": 0, "cpcheck": 0}),
     # alpha = a/b < 0 lies outside the power-law regime
     "manifold_b_minus_1": (MANIFOLD_ABN_CFG.format(0.01, -1, 400), dict.fromkeys(COMMANDS, 2)),
     # grid and solver fields: counts are integers >= 1, times finite and > 0
@@ -514,7 +516,8 @@ class TestCliContract:
         assert run_cli("kernel", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
     def test_exit_code_3_on_solver_error(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, OVERFLOW_RATES_CFG)
+        # t_max times the largest rate overflows
+        cfg = write_cfg(tmp_path, OVERFLOW_RATES_CFG + "grid.t_max = 1e300\n")
         assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 3
         assert "runtime error" in capsys.readouterr().err
 
@@ -600,6 +603,17 @@ class TestCliContract:
             assert code == required.get(command, code) and code in (0, 2, 3), (command, err)
             assert "Traceback" not in err and err.count("\n") + len(caught) <= 1, \
                 (command, err, [str(w.message) for w in caught])
+
+    @pytest.mark.parametrize("name", ["one_zero_rate", "rates_1e200"])
+    def test_volterra_equals_ensemble_without_kernel_poles(self, tmp_path, name):
+        # dephasing: the effective equation's solution is the ensemble average
+        cfg = write_cfg(tmp_path, HOSTILE[name][0])
+        out = str(tmp_path / "out")
+        assert run_cli("evolve", "--config", cfg, "--out", out) == 0
+        vol, ens = (np.loadtxt(os.path.join(out, f"evolve_{m}.csv"), delimiter=",", skiprows=1)
+                    for m in ("volterra", "ensemble"))
+        assert vol.shape == ens.shape
+        assert np.max(np.abs(vol - ens)) <= 1e-12
 
     def test_json_safe_keeps_sign_of_infinity(self):
         payload = {"a": -np.inf, "b": np.inf, "c": [np.float64(-np.inf)]}

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import scipy.integrate
 import scipy.linalg
 
 import nmbath as nm
-from nmbath import _mc, cli, dynamics, qops, qrt
+from nmbath import _mc, cli, dynamics, qops, qrt, ratebath
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
 from helpers import (apply_superop, ensemble_propagators, exact_memory_superop, generator,
-                     propagate, single_rate_ensemble, trajectory_moments, unsplit_expm1,
-                     volterra_stepped)
+                     propagate, rate_basis_generator, single_rate_ensemble, trajectory_moments,
+                     unsplit_expm1, volterra_pole_basis, volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_XY = 0.5 * (IDENTITY_2 + (SIGMA_X + nm.SIGMA_Y) / np.sqrt(2.0))
@@ -38,6 +39,18 @@ def sigma_x_model(ensemble, omega=1.0):
 def max_z(mc, ref_states, atol=1e-8):
     """Worst z-score with a floor for the deterministic reference's own error."""
     return float(np.max(np.abs(mc.states - ref_states) / (mc.stderr + atol)))
+
+
+def grow_volterra_steps(monkeypatch):
+    """Make every Volterra step map grow: an entry of 1e300 overflows its powers."""
+    build = dynamics._embedding_expm1
+
+    def grown(model, h, sets):
+        step = build(model, h, sets)
+        step[:, 0, 0] = 1e300
+        return step
+
+    monkeypatch.setattr(dynamics, "_embedding_expm1", grown)
 
 
 class TestModelSpec:
@@ -265,11 +278,11 @@ class TestEvolveVolterra:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid:RuntimeWarning")
-    def test_growing_kernel_mode_refused(self):
+    def test_growing_kernel_mode_refused(self, monkeypatch):
+        grow_volterra_steps(monkeypatch)
         model = nm.dephasing_model(single_rate_ensemble(1.0))
-        kernel = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
         with pytest.raises(nm.SolverError, match="not finite"):
-            nm.evolve_volterra(model, RHO_PLUS, nm.time_grid(10.0, 100), kernel=kernel)
+            nm.evolve_volterra(model, RHO_PLUS, nm.time_grid(10.0, 100))
 
     @pytest.mark.parametrize("case,h", [("manifold", 0.01), ("sigma_x", 0.005),
                                         ("sigma_x", 7.0), ("single_rate", 0.3),
@@ -281,17 +294,32 @@ class TestEvolveVolterra:
         ens = ensembles[case]
         model = (sigma_x_model(ens) if case == "sigma_x"
                  else nm.dephasing_model(ens, omega=1.3, picture="schroedinger"))
-        kernel = nm.kernel_decompose(ens)
-        L = model.L
-        L_H = model.L_H
-        n, eye = kernel.n_modes, np.eye(L.shape[0])
-        gen = np.block([
-            [L_H + kernel.markov_weight * L, np.tile(eye, n)],
-            [np.kron(kernel.amplitudes[:, None], L),
-             np.kron(np.diag(kernel.poles), eye) + np.kron(np.eye(n), L_H)]])
-        ref = scipy.linalg.expm(h * gen)
-        phi = np.eye(gen.shape[0]) + unsplit_expm1(model, kernel, h)
+        ref = scipy.linalg.expm(h * rate_basis_generator(model))
+        phi = np.eye(ref.shape[0]) + unsplit_expm1(model, h)
         assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_solvers_decompose_no_kernel(self, tmp_path, monkeypatch):
+        # only the kernel command reads the kernel poles
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ensemble.type = manifold\nensemble.gamma = 1.0\nensemble.a = 0.2\n"
+                       "ensemble.b = 0.3\nensemble.n = 20\ngrid.steps = 200\n"
+                       "model.omega = 1.3\nmodel.picture = schroedinger\n")
+
+        def refuse(ens):
+            raise RuntimeError("kernel_decompose called")
+
+        outputs = []
+        for patched in (False, True):
+            if patched:
+                # dynamics has no binding of its own to patch
+                assert not hasattr(dynamics, "kernel_decompose")
+                for module in (ratebath, cli):
+                    monkeypatch.setattr(module, "kernel_decompose", refuse)
+            for command in ("evolve", "cpcheck"):
+                out = tmp_path / f"{command}-{patched}"
+                assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+                outputs.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+        assert outputs[:2] == outputs[2:]
 
     def test_propagator_series_columns(self):
         ens = nm.two_state_ensemble(0.5, 2.0, 1.0)
@@ -319,10 +347,11 @@ def random_generic_model(ensemble):
 
 
 class TestBlockedVolterra:
-    """The blocked powers of the step map against the plain loop y <- Phi y.
+    """The blocked powers of the step map against the plain loop y <- Phi y,
+    and the rate-basis embedding against the pole-basis one.
 
     On these grids B is the smallest power of two with B D >= S for each
-    coupled set of D components and its embedding size S, capped at the
+    coupled set of D components and its embedding size S = D R, capped at the
     number of steps; the grids straddle both the block length and the cap.  The models cover four
     dephasing sets of one component, two sets of two (sigma_x), sets of
     unequal size (qutrit decay) and one set of four.
@@ -346,21 +375,34 @@ class TestBlockedVolterra:
     @pytest.fixture(scope="class", params=sorted(MODELS))
     def case(self, request):
         model = self.MODELS[request.param]()
-        kernel = nm.kernel_decompose(model.ensemble)
-        return model, kernel, 1 << kernel.n_modes.bit_length()
+        return model, 1 << (model.ensemble.n - 1).bit_length()
+
+    def state_and_map(self, model, steps):
+        tg = nm.time_grid(self.H * steps, steps)
+        v0 = qops.vectorize(random_density(np.random.default_rng(5), model.dim))
+        _, states = dynamics._volterra_run(model, v0, tg)
+        maps = dynamics.volterra_propagator_series(model, tg)
+        return tg, ((states, v0), (maps, np.eye(v0.size, dtype=complex)))
 
     @pytest.mark.parametrize("grid", list(GRIDS))
     def test_state_and_map_match_stepped_loop(self, case, grid):
-        model, kernel, B = case
-        steps = self.GRIDS[grid](B)
-        tg = nm.time_grid(self.H * steps, steps)
-        v0 = qops.vectorize(random_density(np.random.default_rng(5), model.dim))
-        _, states = dynamics._volterra_run(model, v0, tg, kernel)
-        maps = dynamics.volterra_propagator_series(model, tg, kernel)
-        for out, x0 in ((states, v0), (maps, np.eye(v0.size, dtype=complex))):
-            ref = volterra_stepped(model, x0, tg, kernel)
+        model, B = case
+        tg, runs = self.state_and_map(model, self.GRIDS[grid](B))
+        for out, x0 in runs:
+            ref = volterra_stepped(model, x0, tg)
             assert out.shape == ref.shape
-            assert np.array_equal(out[0], x0)
+            # out[0] = sum_R P_R x0, and the weights sum to 1 to round-off
+            assert np.max(np.abs(out[0] - x0)) <= 1e-15
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_state_and_map_match_pole_basis(self, case, grid):
+        # the same memory-kernel equation from the kernel poles: one memory
+        # variable per pole, stepped with a dense expm
+        model, B = case
+        tg, runs = self.state_and_map(model, self.GRIDS[grid](B))
+        for out, x0 in runs:
+            ref = volterra_pole_basis(model, x0, tg)
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_per_set_maps_are_blocks_of_unsplit_map(self, case):
@@ -370,13 +412,13 @@ class TestBlockedVolterra:
         # coherences of qutrit decay, -1 - 1.1j), the k-component product
         # and the whole one may take BLAS kernels that round differently
         # (fused or separate multiply-add), by a few units in the last place
-        model, kernel, _ = case
+        model, _ = case
         L, L_H = model.L, model.L_H
         D, eps = L.shape[0], np.finfo(float).eps
-        whole = unsplit_expm1(model, kernel, self.H)
-        offsets = D * np.arange(kernel.n_modes + 1)[:, None]
+        whole = unsplit_expm1(model, self.H)
+        offsets = D * np.arange(model.ensemble.n)[:, None]
         for group in qops.coupled_sets((L != 0) | (L_H != 0)):
-            maps = dynamics._embedding_expm1(L, L_H, kernel, self.H, group)
+            maps = dynamics._embedding_expm1(model, self.H, group)
             for phi, members in zip(maps, group):
                 idx = (offsets + members).reshape(-1)
                 block = whole[np.ix_(idx, idx)]
@@ -390,9 +432,9 @@ class TestBlockedVolterra:
         seen = []
         build = dynamics._embedding_expm1
 
-        def spy(L, L_H, kernel, h, sets):
+        def spy(model, h, sets):
             seen.append(sets.shape)
-            return build(L, L_H, kernel, h, sets)
+            return build(model, h, sets)
 
         monkeypatch.setattr(dynamics, "_embedding_expm1", spy)
         model = nm.dephasing_model(nm.manifold_ensemble(1.0, 0.2, 0.3, 20), omega=1.3,
@@ -421,34 +463,35 @@ class TestBlockedVolterra:
         assert sorted(s.tolist() for g in groups for s in g) == expected
 
     def test_short_grid_forms_no_power_past_its_end(self):
-        # a mode growing by e^60 per step: the 10-step solution (about e^600)
-        # and Phi^8 are finite, but Phi^16 y0 and Phi^64, the power for the
-        # uncapped block length, overflow; the cap at B = 8 runs it
-        model = self.MODELS["manifold_60"]()
-        dec = nm.kernel_decompose(model.ensemble)
-        amplitudes, poles = dec.amplitudes.copy(), dec.poles.copy()
-        amplitudes[0], poles[0] = 1.0, 60.0 / self.H
-        kernel = nm.KernelDecomposition(dec.markov_weight, amplitudes, poles)
-        assert kernel.n_modes.bit_length() == 6
-        tg = nm.time_grid(10 * self.H, 10)
-        v0 = qops.vectorize(RHO_XY)
+        # a step map growing by e^60 per step with S = 64 D: the 10-step
+        # solution (about e^600) and Phi^8 are finite, but Phi^16 y0 and
+        # Phi^64, the power for the uncapped block length, overflow; the cap
+        # at B = 8 runs it
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+        phi = np.exp(60.0) * q
+        y0 = rng.normal(size=(1, 64, 2)) + 0j
+        rows = rng.normal(size=(1, 64))
         with np.errstate(over="raise", invalid="raise"):
-            _, out = dynamics._volterra_run(model, v0, tg, kernel)
-        ref = volterra_stepped(model, v0, tg, kernel)
+            out = qops.block_powers((phi - np.eye(64))[None], y0, 10, rows)
+        y, ref = y0[0], [rows @ y0[0]]
+        for _ in range(10):
+            y = phi @ y
+            ref.append(rows @ y)
+        ref = np.array(ref)[:, None]
         assert np.max(np.abs(ref)) > 1e200
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid:RuntimeWarning")
-    def test_growing_mode_refused_for_maps(self):
+    def test_growing_mode_refused_for_maps(self, monkeypatch):
+        grow_volterra_steps(monkeypatch)
         model = nm.dephasing_model(single_rate_ensemble(1.0))
-        kernel = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
         with pytest.raises(nm.SolverError, match="not finite"):
-            dynamics.volterra_propagator_series(model, nm.time_grid(10.0, 100), kernel)
+            dynamics.volterra_propagator_series(model, nm.time_grid(10.0, 100))
 
     def test_growing_mode_exits_3_from_cli(self, tmp_path, monkeypatch, capsys):
-        growing = nm.KernelDecomposition(1.0, np.array([1.0]), np.array([1e3]))
-        monkeypatch.setattr(dynamics, "kernel_decompose", lambda ens: growing)
+        grow_volterra_steps(monkeypatch)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ensemble.type = custom\nensemble.rates = 1.0\nensemble.weights = 1.0\n"
                        "grid.t_max = 10.0\ngrid.steps = 100\nsolver.methods = volterra\n")

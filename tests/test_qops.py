@@ -232,13 +232,13 @@ class TestRateStack:
                 return np.ndarray.__matmul__(self, other)
 
         y0 = np.random.default_rng(6).normal(size=(3, 4, 2)) + 0j
-        out = qops.block_powers((phi - np.eye(4)).view(Step), y0, nt, 4)
+        out = qops.block_powers((phi - np.eye(4)).view(Step), y0, nt, np.eye(4))
         y, ref = y0, [y0]
         for _ in range(nt):
             y = phi @ y
             ref.append(y)
         assert np.max(np.abs(out - np.array(ref))) < 1e-13
-        weighted = qops.block_powers(phi - np.eye(4), y0, nt, 4, self.WEIGHTS)
+        weighted = qops.block_powers(phi - np.eye(4), y0, nt, np.eye(4), self.WEIGHTS)
         assert np.max(np.abs(weighted - np.einsum("r,trdc->tdc", self.WEIGHTS, ref))) < 1e-13
         if nt >= 8:
             assert len(products) < nt

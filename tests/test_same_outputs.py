@@ -23,7 +23,7 @@ def job_result(root, code, stderr, files):
 def test_identical_results_report_nothing(tmp_path):
     files = {"a.csv": HEADER + "0.0,1.0\n", "s.json": "{}"}
     assert same_outputs.compare(job_result(tmp_path / "old", 0, "", files),
-                                job_result(tmp_path / "new", 0, "", files)) == []
+                                job_result(tmp_path / "new", 0, "", files)) == ([], 0.0)
 
 
 def test_each_difference_is_reported(tmp_path):
@@ -33,11 +33,11 @@ def test_each_difference_is_reported(tmp_path):
     new = job_result(tmp_path / "new", 3, "runtime error: x\n", {
         "a.csv": HEADER + "0.0,4.0\n1.0,-2.5\n", "b.csv": "t,other\n0.0,1.0\n",
         "s.json": "{ }"})
-    assert same_outputs.compare(old, new) == [
+    assert same_outputs.compare(old, new) == ([
         "exit differs", "stderr differs",
         "files only in old: ['gone.csv'], only in new: []",
         "a.csv differs, largest change 1.25e-01 of its largest value (rho_00_re 1.25e-01)",
-        "b.csv differs", "s.json differs"]
+        "b.csv differs", "s.json differs"], 0.125)
 
 
 def test_columns_that_differ_are_named(tmp_path):
@@ -58,3 +58,31 @@ def test_csv_change_edge_cells(tmp_path, old, new, change):
     (tmp_path / "old.csv").write_text(f"{HEADER}{old},0.0\n")
     (tmp_path / "new.csv").write_text(f"{HEADER}{new},0.0\n")
     assert same_outputs.csv_change(tmp_path / "old.csv", tmp_path / "new.csv") == change
+
+
+def fake_tree(root, value):
+    """A checkout whose one job writes a.csv with ``value``; its bench/ lists that job."""
+    os.makedirs(root / "bench")
+    (root / "bench" / "workloads.py").write_text(
+        "import types\nWORKLOADS = ('w',)\n\n"
+        "def jobs_for(workload, seed, block):\n"
+        "    return [types.SimpleNamespace(label='j', command='evolve', config='')]\n")
+    os.makedirs(root / "src" / "nmbath")
+    (root / "src" / "nmbath" / "__init__.py").write_text("")
+    (root / "src" / "nmbath" / "cli.py").write_text(
+        "import os\n\ndef main(argv):\n"
+        "    with open(os.path.join(argv[-1], 'a.csv'), 'w') as fh:\n"
+        f"        fh.write('t,x\\n0.0,{value}\\n1.0,8.0\\n')\n"
+        "    return 0\n")
+    return str(root)
+
+
+@pytest.mark.parametrize("new_value,summary", [
+    ("4.0", "0 differ, largest CSV change 0.00e+00"),
+    ("4.5", "1 differ, largest CSV change 6.25e-02")])
+def test_last_line_gives_largest_csv_change(tmp_path, capsys, new_value, summary):
+    old, new = fake_tree(tmp_path / "old", "4.0"), fake_tree(tmp_path / "new", new_value)
+    code = same_outputs.main([old, new, "--seed", "3", "--blocks", "0"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"1 jobs (seed 3, blocks 0, workload all): {summary}"
+    assert code == (new_value != "4.0")

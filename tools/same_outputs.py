@@ -10,8 +10,9 @@ the trees see the same arguments.
 
 Reports every job whose output files, exit code or stderr differ and, for each
 CSV file that differs, the columns that differ and the largest change of a
-cell in each, relative to the largest absolute value in the old file.  Exits 1
-on any difference, 0 otherwise.
+cell in each, relative to the largest absolute value in the old file.  The
+last line counts the jobs that differ and gives the largest such relative
+change of any CSV cell in the run.  Exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def csv_change(old_path, new_path):
 
 
 def compare(old_dir, new_dir):
-    """What differs between one job's results in the two trees, one line per item."""
-    found = []
+    """What differs between one job's results in the two trees, one line per item,
+    and the largest relative change of a cell in its CSV files (0.0 if none)."""
+    found, largest = [], 0.0
     for name in ("exit", "stderr"):
         if _read(os.path.join(old_dir, name)) != _read(os.path.join(new_dir, name)):
             found.append(f"{name} differs")
@@ -140,11 +142,12 @@ def compare(old_dir, new_dir):
         if changes is None:
             found.append(f"{name} differs")
         else:
-            columns = ", ".join(f"{col} {change:.2e}" for col, change in changes.items())
-            found.append(f"{name} differs, largest change "
-                         f"{max(changes.values(), default=0.0):.2e} of its largest value "
+            change = max(changes.values(), default=0.0)
+            largest = max(largest, change)
+            columns = ", ".join(f"{col} {value:.2e}" for col, value in changes.items())
+            found.append(f"{name} differs, largest change {change:.2e} of its largest value "
                          f"({columns})")
-    return found
+    return found, largest
 
 
 def main(argv=None):
@@ -167,10 +170,11 @@ def main(argv=None):
                     f"same_outputs.run_tree({os.path.abspath(root)!r}, {jobs_path!r}, "
                     f"{os.path.join(work, side)!r})")
             subprocess.run([sys.executable, "-c", code], check=True)
-        differ = 0
+        differ, largest = 0, 0.0
         for job in jobs:
-            found = compare(os.path.join(work, "old", job["name"]),
-                            os.path.join(work, "new", job["name"]))
+            found, change = compare(os.path.join(work, "old", job["name"]),
+                                    os.path.join(work, "new", job["name"]))
+            largest = max(largest, change)
             if found:
                 differ += 1
                 print(f"{job['name']} ({job['label']}):")
@@ -179,7 +183,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(work)
     print(f"{len(jobs)} jobs (seed {args.seed}, blocks {' '.join(map(str, args.blocks))}, "
-          f"workload {args.workload}): {differ} differ")
+          f"workload {args.workload}): {differ} differ, largest CSV change {largest:.2e}")
     return 1 if differ else 0
 
 
