@@ -28,7 +28,7 @@ from .ratebath import (
     waiting_density,
     kernel_decompose,
     KernelDecomposition,
-    sprinkling,
+    renewal_series,
     fractional_model,
     FractionalKernelModel,
     talbot_invert,

@@ -38,7 +38,7 @@ from .ratebath import (
     default_power_law_window,
     fit_power_law,
     kernel_decompose,
-    sprinkling,
+    renewal_series,
     stats,
     survival,
     talbot_invert,
@@ -265,13 +265,11 @@ def cmd_kernel(args):
         }
     else:
         st = stats(ens)
-        w = waiting_density(ens, tg)
-        p0 = survival(ens, tg)
+        w, p0 = waiting_density(ens, tg), survival(ens, tg)
+        # the poles feed only the summary; a refused ensemble exits before the chain
         decomp = kernel_decompose(ens)
-        k_reg = decomp.regular_part(tg)
-        # one decomposition gives f(t) and, appended last, f(0)
-        f = sprinkling(ens, np.append(tg, 0.0))
-        f, f0 = f[:-1], f[-1]
+        f, k_reg = renewal_series(ens, tg)
+        f0 = 1.0 / st.mean_waiting_time + float(np.sum(decomp.amplitudes / decomp.poles))
         summary = {"model": "finite", **_ensemble_summary(ens),
                    "markov_weight": decomp.markov_weight,
                    "kernel_poles": decomp.poles,

@@ -2,10 +2,11 @@
 
 An environment is a finite list of dissipation rates with probabilities.
 Everything downstream (survival probability, waiting-time density, sprinkling
-distribution, memory kernel) is exact rational-function algebra on that list,
-inverted to the time domain by partial fractions.  The fractional long-tail
-model is the one non-rational object and is handled by numerical Laplace
-inversion (fixed Talbot grid).
+distribution, memory kernel) is exact algebra on that list: sums of
+exponentials, the renewal chain's exact step maps (no poles), and the
+kernel's partial fractions.  The fractional long-tail model is the one
+non-rational object and is handled by numerical Laplace inversion (fixed
+Talbot grid).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import qops
 
 # rates closer than this (relative to the largest rate) are merged so that all
 # spectral functions keep simple poles
@@ -192,19 +195,11 @@ class KernelDecomposition:
     amplitudes: np.ndarray
     poles: np.ndarray
 
-    @property
-    def n_modes(self):
-        return len(self.poles)
-
     def of_u(self, u):
         """K(u) = markov_weight + sum_j c_j / (u - p_j)."""
         u = np.asarray(u, dtype=complex)
         out = self.markov_weight + (1.0 / (u[..., None] - self.poles)) @ self.amplitudes
         return out if out.ndim else complex(out)
-
-    def regular_part(self, t):
-        """The non-singular part sum_j c_j exp(p_j t)."""
-        return _exp_sum(t, self.poles, self.amplitudes)
 
 
 def kernel_decompose(ens: RateEnsemble) -> KernelDecomposition:
@@ -263,15 +258,22 @@ def kernel_decompose(ens: RateEnsemble) -> KernelDecomposition:
     return decomp
 
 
-def sprinkling(ens: RateEnsemble, t):
-    """Event density f(t) for t > 0: 1/<tau> plus the kernel modes over poles.
+def renewal_series(ens: RateEnsemble, t):
+    """f(t) and K_reg(t) = f'(t), stacked (2, n_t), at the times t0 + k h with t0 >= 0.
 
-    f shares its poles with the regular kernel part, with amplitudes c_j/p_j,
-    plus the constant long-time level 1/<tau>; K(t) = df/dt follows.
+    With G = -diag(gamma) + gamma P^T, P^T (u - G)^-1 gamma = w / (1 - w), so f(t) =
+    P^T e^{tG} gamma and K_reg(t) = P^T e^{tG} G gamma, G gamma = gamma (<gamma> - gamma):
+    the Volterra embedding of one component with E = 1, by exact step maps, with no pole.
     """
-    decomp = kernel_decompose(ens)
-    level = 1.0 / stats(ens).mean_waiting_time
-    return level + _exp_sum(t, decomp.poles, decomp.amplitudes / decomp.poles)
+    t0, h, nt = qops.arithmetic_grid(t)
+    if t0 < 0:
+        raise ValueError("time must be nonnegative")
+    r, p = ens.rates, ens.weights
+    G = np.multiply.outer(r, p) - np.diag(r)
+    norm = np.abs(G).sum(axis=0).max()
+    start, step = (qops.expm1(lambda X: G @ X, s, s * norm, (1,) + G.shape) for s in (t0, h))
+    y0 = np.stack([r, r * (r @ p - r)], axis=1)[None]
+    return qops.block_powers(step, y0 + start @ y0, nt, p[None]).real.reshape(nt + 1, 2).T
 
 
 @dataclass(frozen=True)

@@ -274,7 +274,7 @@ def pseudomode_generator(model):
     """
     kernel = kernel_decompose(model.ensemble)
     L, L_H = model.L, model.L_H
-    n, eye = kernel.n_modes, np.eye(L.shape[0])
+    n, eye = kernel.poles.size, np.eye(L.shape[0])
     return np.block([
         [L_H + kernel.markov_weight * L, np.tile(eye, n)],
         [np.kron(kernel.amplitudes[:, None], L),

@@ -82,11 +82,11 @@ def test_tracer_sees_cpcheck_layers(tmp_path):
     assert "volterra_mode_steps" in tracer.counts and tracer.counts["choi_maps"] == 2 * 41
 
 
-def test_manifold_kernel_decomposes_twice(tmp_path):
-    # once for the kernel modes, once inside the one sprinkling call for f(0) and f(t)
+def test_manifold_kernel_decomposes_once(tmp_path):
+    # the poles feed only the summary; f(t) and K_reg(t) come from the renewal chain
     tracer = traced("kernel", MANIFOLD_CPCHECK_CFG, tmp_path)
     assert tracer.absent == []
-    assert tracer.counts["ratebath.kernel_decompose.calls"] == 2
+    assert tracer.counts["ratebath.kernel_decompose.calls"] == 1
 
 
 def test_fractional_kernel_inverts_once(tmp_path):

@@ -82,6 +82,11 @@ HOSTILE = {
                             {"evolve": 2, "correlate": 2, "cpcheck": 2}),
     "manifold_n_20": (MANIFOLD_ABN_CFG.format(0.1, 0.1, 20),
                       {"kernel": 0, "evolve": 0, "cpcheck": 0}),
+    # 879 levels after the merge: on the CLI's one BLAS thread, eigvalsh (good
+    # to about eps * gamma_max) puts a slow pole outside its interval; the
+    # short grid keeps the solvers' 879-level step maps cheap
+    "manifold_n1000_slow_poles": (MANIFOLD_ABN_CFG.format(0.05, 0.02, 1000)
+                                  + "grid.t_max = 0.001\ngrid.steps = 2\n", {"kernel": 3}),
     "h_matrix_3x3": (H_MATRIX_3X3_CFG, {"evolve": 2, "correlate": 2, "cpcheck": 2}),
     # rates whose moments overflow double precision: the kernel analytics
     # refuse them, the solvers take them

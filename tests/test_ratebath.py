@@ -235,17 +235,21 @@ class TestSpectral:
 
 class TestKernelDecomposition:
     def test_single_rate_markov(self):
-        dec = rb.kernel_decompose(single_rate_ensemble(0.9))
-        assert dec.n_modes == 0
+        ens = single_rate_ensemble(0.9)
+        dec = rb.kernel_decompose(ens)
+        assert dec.poles.size == 0
         assert math.isclose(dec.markov_weight, 0.9)
-        # with no modes every sum is empty
-        t = np.linspace(0.0, 3.0, 7)
-        assert np.array_equal(dec.regular_part(t), np.zeros(7))
-        assert dec.regular_part(1.0) == 0.0 and isinstance(dec.regular_part(1.0), float)
         assert dec.of_u(2.0) == 0.9 and isinstance(dec.of_u(2.0), complex)
         assert np.array_equal(dec.of_u(np.array([1.0, 2.0j])), [0.9, 0.9])
+        # with no modes, events come at the one rate: f = gamma and K_reg = 0
+        for t in (np.linspace(0.0, 3.0, 7), np.linspace(0.5, 3.0, 6), 1.0):
+            f, k_reg = rb.renewal_series(ens, t)
+            assert np.array_equal(f, np.full(np.size(t), 0.9))
+            assert np.array_equal(k_reg, np.zeros(np.size(t)))
         with pytest.raises(ValueError, match="nonnegative"):
-            dec.regular_part(-1.0)
+            rb.renewal_series(ens, -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rb.renewal_series(ens, np.linspace(-1.0, 1.0, 5))
 
     def test_of_u_sums_every_mode(self):
         dec = rb.kernel_decompose(rb.manifold_ensemble(1.0, 0.3, 0.4, 8))
@@ -298,7 +302,7 @@ class TestKernelDecomposition:
         # companion-matrix roots lost these manifolds from n = 12, 22 and 31
         ens = rb.manifold_ensemble(1.0, a, b, n)
         dec = rb.kernel_decompose(ens)
-        assert dec.n_modes == ens.n - 1
+        assert dec.poles.size == ens.n - 1
         # poles descend, one strictly inside each gap of the negated rates
         neg = -ens.rates[::-1]
         assert np.all((neg[1:] < dec.poles) & (dec.poles < neg[:-1]))
@@ -313,14 +317,14 @@ class TestKernelDecomposition:
         # interlacing gate refuses these manifolds
         ens = rb.manifold_ensemble(1.0, 0.5, 0.1, n)
         dec = rb.kernel_decompose(ens)
-        assert 0 < dec.n_modes < ens.n - 1
+        assert 0 < dec.poles.size < ens.n - 1
         u = np.geomspace(1e-3, 1e3, 200) * rb.stats(ens).mean_rate
         exact = rb.kernel_of_u(ens, u)
         assert np.max(np.abs(dec.of_u(u) - exact) / np.abs(exact)) < 1e-12
         # the time domain agrees with numerical inversion of the full ensemble
         t = np.linspace(0.1, 20.0, 40) / rb.stats(ens).mean_rate
         got = rb.talbot_invert(lambda s: f_of_u(ens, s), t)
-        assert np.max(np.abs(got - rb.sprinkling(ens, t))) < 1e-9
+        assert np.max(np.abs(got - rb.renewal_series(ens, t)[0])) < 1e-9
 
     def test_markov_weight_is_mean_rate(self):
         rng = np.random.default_rng(8)
@@ -338,7 +342,7 @@ class TestSprinkling:
     def test_single_rate_constant(self):
         ens = single_rate_ensemble(1.7)
         t = np.linspace(0, 10, 21)
-        assert np.allclose(rb.sprinkling(ens, t), 1.7, atol=1e-12)
+        assert np.allclose(rb.renewal_series(ens, t)[0], 1.7, atol=1e-12)
 
     def test_two_state_closed_form(self):
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
@@ -346,7 +350,7 @@ class TestSprinkling:
         t = np.linspace(0.0, 10.0, 50)
         closed = st.mean_rate - (st.mean_rate - 1.0 / st.mean_waiting_time) * (
             1.0 - np.exp(-st.eta * t))
-        assert np.max(np.abs(rb.sprinkling(ens, t) - closed)) < 1e-10
+        assert np.max(np.abs(rb.renewal_series(ens, t)[0] - closed)) < 1e-10
 
     def test_limits(self):
         rng = np.random.default_rng(9)
@@ -354,20 +358,20 @@ class TestSprinkling:
             ens = random_ensemble(rng)
             st = rb.stats(ens)
             dec = rb.kernel_decompose(ens)
-            slowest = abs(dec.poles.max()) if dec.n_modes else st.mean_rate
+            slowest = abs(dec.poles.max()) if dec.poles.size else st.mean_rate
             t_long = 40.0 / slowest
-            assert abs(rb.sprinkling(ens, 0.0) - st.mean_rate) < 1e-6 * st.mean_rate
-            assert abs(rb.sprinkling(ens, t_long) - 1.0 / st.mean_waiting_time) \
+            assert abs(rb.renewal_series(ens, 0.0)[0] - st.mean_rate) < 1e-6 * st.mean_rate
+            assert abs(rb.renewal_series(ens, t_long)[0] - 1.0 / st.mean_waiting_time) \
                 < 1e-6 / st.mean_waiting_time
 
     def test_kernel_is_sprinkling_rate(self):
         # K_reg(t) = df/dt, checked with central finite differences
         ens = rb.two_state_ensemble(0.3, 2.5, 0.7)
-        dec = rb.kernel_decompose(ens)
         t = np.linspace(0.05, 8.0, 200)
         h = 1e-5
-        dfdt = (rb.sprinkling(ens, t + h) - rb.sprinkling(ens, t - h)) / (2 * h)
-        assert np.max(np.abs(dfdt - dec.regular_part(t))) < 1e-4
+        f_plus, f_minus = rb.renewal_series(ens, t + h)[0], rb.renewal_series(ens, t - h)[0]
+        dfdt = (f_plus - f_minus) / (2 * h)
+        assert np.max(np.abs(dfdt - rb.renewal_series(ens, t)[1])) < 1e-4
 
     def test_renewal_equation_oracle(self):
         rng = np.random.default_rng(10)
@@ -376,7 +380,77 @@ class TestSprinkling:
             st = rb.stats(ens)
             tg = np.linspace(0.0, 20.0 / st.mean_rate, 2001)
             f_oracle = renewal_equation_oracle(ens, tg)
-            assert np.max(np.abs(f_oracle - rb.sprinkling(ens, tg))) < 1e-5
+            assert np.max(np.abs(f_oracle - rb.renewal_series(ens, tg)[0])) < 1e-5
+
+
+def pole_series(ens, t):
+    """f(t) = 1/<tau> + sum_j (c_j/p_j) e^{p_j t} and K_reg(t) = sum_j c_j e^{p_j t} from the poles."""
+    dec = rb.kernel_decompose(ens)
+    modes = np.exp(np.multiply.outer(t, dec.poles))
+    return (1.0 / rb.stats(ens).mean_waiting_time + modes @ (dec.amplitudes / dec.poles),
+            modes @ dec.amplitudes)
+
+
+def extended_precision_f(ens, t, digits=30):
+    """f(t) = v^T e^{tA} v with A = -diag(gamma) + v v^T, v = sqrt(gamma P), by mpmath's eigsy."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(digits):
+        v = [mp.sqrt(mp.mpf(g) * mp.mpf(p)) for g, p in zip(ens.rates, ens.weights)]
+        n = len(v)
+        A = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                A[i, j] = v[i] * v[j] - (mp.mpf(ens.rates[i]) if i == j else 0)
+        eig, vecs = mp.eigsy(A)
+        amps = [mp.fsum(vecs[i, k] * v[i] for i in range(n)) ** 2 for k in range(n)]
+        return np.array([float(mp.fsum(c * mp.exp(e * mp.mpf(s)) for c, e in zip(amps, eig)))
+                         for s in t])
+
+
+def manifold_levels(a, b, n):
+    """The n levels of a manifold as given, none merged."""
+    levels = np.arange(n)
+    weights = np.exp(-a * levels)
+    return rb.RateEnsemble(np.exp(-b * levels), weights / weights.sum())
+
+
+class TestRenewalSeries:
+    @staticmethod
+    def ensembles():
+        rng = np.random.default_rng(11)
+        yield from (random_ensemble(rng) for _ in range(10))
+        yield rb.two_state_ensemble(0.5, 2.0, 1.0)
+        yield rb.two_state_ensemble(0.3, 2.5, 0.7)
+        for n in (200, 400):
+            yield rb.manifold_ensemble(1.0, 0.5, 0.1, n)
+
+    def test_matches_pole_sums(self):
+        # the chain forms no pole: it checks the partial fractions independently
+        for ens in self.ensembles():
+            st = rb.stats(ens)
+            for t in (np.linspace(0.0, 20.0, 201), np.linspace(0.1, 20.0, 40)):
+                t = t / st.mean_rate
+                for got, ref in zip(rb.renewal_series(ens, t), pole_series(ens, t)):
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_start_values(self):
+        # f(0) = P^T gamma = <gamma>; K_reg(0) = <gamma>^2 - <gamma^2> = -<gamma> beta
+        for ens in self.ensembles():
+            st = rb.stats(ens)
+            f, k_reg = rb.renewal_series(ens, np.linspace(0.0, 1.0, 3))
+            assert abs(f[0] - st.mean_rate) <= 4 * np.spacing(st.mean_rate)
+            expected = -st.mean_rate * st.fluctuation_rate
+            assert abs(k_reg[0] - expected) <= 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize("ens", [
+        rb.RateEnsemble(np.array([1000.0, 2e-6, 1e-6]), np.full(3, 1.0 / 3.0)),
+        manifold_levels(0.279, 0.581, 54)], ids=["custom", "manifold_n54"])
+    def test_unmerged_slow_levels_match_extended_precision(self, ens):
+        # rates down to 4.2e-14, where the kernel poles escape their intervals
+        t = np.linspace(0.0, 1e6, 2001)
+        f = rb.renewal_series(ens, t)[0]
+        ref = extended_precision_f(ens, t[::20])
+        assert np.max(np.abs(f[::20] - ref) / ref) <= 1e-12
 
 
 class TestFractionalModel:
@@ -443,7 +517,7 @@ class TestTalbot:
         ens = rb.two_state_ensemble(0.5, 2.0, 1.0)
         t = np.linspace(0.1, 50.0 / 1.5, 60)
         got = rb.talbot_invert(lambda u: f_of_u(ens, u), t)
-        exact = rb.sprinkling(ens, t)
+        exact = rb.renewal_series(ens, t)[0]
         assert np.max(np.abs(got - exact) / exact) < 1e-8
 
     def test_node_doubling_self_convergence(self):

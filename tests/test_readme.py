@@ -18,4 +18,4 @@ def test_library_quick_start_runs():
     # under dephasing the memory-kernel solution is the exact average
     assert np.max(np.abs(ns["exact"].states - ns["effective"].states)) < 1e-12
     assert ns["mc"].meta["route"] == "count_histogram"
-    assert ns["surface"].residual.shape == (20, 20, 4) and ns["decomp"].n_modes > 0
+    assert ns["surface"].residual.shape == (20, 20, 4) and ns["decomp"].poles.size > 0

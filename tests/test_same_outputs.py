@@ -1,5 +1,7 @@
 """``tools/same_outputs.py`` reports what differs between two runs of one job."""
 
+import json
+import math
 import os
 import sys
 
@@ -50,6 +52,32 @@ def test_columns_that_differ_are_named(tmp_path):
     assert same_outputs.csv_change(tmp_path / "old.csv", tmp_path / "new.csv") == 0.0625
     (tmp_path / "other.csv").write_text("t,x\n0.0,1.0\n")
     assert same_outputs.column_changes(tmp_path / "old.csv", tmp_path / "other.csv") is None
+
+
+def test_json_leaves_that_differ_are_named(tmp_path):
+    old = {"model": "finite", "f_limits": {"long_time": 2.0, "short_time": 4.0},
+           "poles": [-1.0, -4.0], "sign": 0.0, "zero": 0.0, "same": [1, "inf"]}
+    new = {**old, "f_limits": {"long_time": 2.0, "short_time": 5.0}, "poles": [-1.5, -4.0],
+           "sign": -0.0, "zero": 1e-300}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    # by key path in key order; a list's entries pooled; relative to |old|
+    assert same_outputs.json_changes(tmp_path / "old.json", tmp_path / "new.json") == {
+        "f_limits.short_time": (1.0, 0.25), "poles": (0.5, 0.5), "sign": (0.0, 0.0),
+        "zero": (1e-300, math.inf)}
+    # anything but a number that differs leaves no leaf-by-leaf report
+    for other in ({**old, "model": "fractional"}, {**old, "poles": [-1.0]},
+                  {**old, "extra": 1.0}, {**old, "sign": "0.0"}):
+        (tmp_path / "other.json").write_text(json.dumps(other))
+        assert same_outputs.json_changes(tmp_path / "old.json", tmp_path / "other.json") is None
+
+
+def test_json_difference_is_reported_by_leaf(tmp_path):
+    old = job_result(tmp_path / "old", 0, "", {"s.json": '{"a": {"b": 2.0}, "c": [1.0, 8.0]}'})
+    new = job_result(tmp_path / "new", 0, "", {"s.json": '{"a": {"b": 3.0}, "c": [1.0, 6.0]}'})
+    # JSON changes are not CSV changes: the run's largest CSV change stays 0
+    assert same_outputs.compare(old, new) == (
+        ["s.json differs: a.b 1.00e+00 (5.00e-01 relative); c 2.00e+00 (2.50e-01 relative)"], 0.0)
 
 
 @pytest.mark.parametrize("old,new,change", [("-0.0", "0.0", 0.0), ("nan", "nan", 0.0),

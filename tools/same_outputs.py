@@ -10,8 +10,10 @@ the trees see the same arguments.
 
 Reports every job whose output files, exit code or stderr differ and, for each
 CSV file that differs, the columns that differ and the largest change of a
-cell in each, relative to the largest absolute value in the old file.  The
-last line counts the jobs that differ and gives the largest such relative
+cell in each, relative to the largest absolute value in the old file.  For
+each JSON file that differs only in its numbers it names every numeric leaf
+that differs by its key path, with the largest absolute and relative change.
+The last line counts the jobs that differ and gives the largest such relative
 change of any CSV cell in the run.  Exits 1 on any difference, 0 otherwise.
 """
 
@@ -22,6 +24,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -122,6 +125,43 @@ def csv_change(old_path, new_path):
     return None if changes is None else max(changes.values(), default=0.0)
 
 
+def _leaves(node, path=""):
+    """(key path, value) of every leaf of a JSON value; the entries of a list share its path."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _leaves(item, path)
+    else:
+        yield path, node
+
+
+def json_changes(old_path, new_path):
+    """Largest |new - old| and |new - old| / |old| of each numeric leaf that differs, by key path.
+
+    A dict {path: (absolute, relative)} in key order, with the entries of a
+    list pooled under the list's path; a leaf differs when its value or its
+    sign does.  None if anything but numbers differs: a key, a list's length,
+    or a leaf that is not a number on either side.
+    """
+    with open(old_path, encoding="utf-8") as a, open(new_path, encoding="utf-8") as b:
+        old, new = list(_leaves(json.load(a))), list(_leaves(json.load(b)))
+    if [path for path, _ in old] != [path for path, _ in new]:
+        return None
+    changes = {}
+    for (path, x), (_, y) in zip(old, new):
+        if json.dumps(x) == json.dumps(y):
+            continue
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            return None
+        absolute = abs(y - x)
+        relative = absolute / abs(x) if x else (math.inf if absolute else 0.0)
+        prev = changes.get(path, (0.0, 0.0))
+        changes[path] = (max(prev[0], absolute), max(prev[1], relative))
+    return changes
+
+
 def compare(old_dir, new_dir):
     """What differs between one job's results in the two trees, one line per item,
     and the largest relative change of a cell in its CSV files (0.0 if none)."""
@@ -137,6 +177,12 @@ def compare(old_dir, new_dir):
     for name in sorted(old_files & new_files):
         a, b = os.path.join(old_out, name), os.path.join(new_out, name)
         if _read(a) == _read(b):
+            continue
+        if name.endswith(".json"):
+            changes = json_changes(a, b)
+            leaves = "; ".join(f"{path} {absolute:.2e} ({relative:.2e} relative)"
+                               for path, (absolute, relative) in (changes or {}).items())
+            found.append(f"{name} differs" + (f": {leaves}" if leaves else ""))
             continue
         changes = column_changes(a, b) if name.endswith(".csv") else None
         if changes is None:
