@@ -41,17 +41,22 @@ HIST_CELLS = 1 << 16
 
 
 def _finalize(z):
-    """The splitmix64 finalizer: a bijection of uint64 that mixes every bit."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, into a new array: a bijection of uint64 that mixes every bit."""
+    z = z ^ (z >> np.uint64(30))
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _mix(state):
-    """One splitmix64 output per stream; returns (new_state, uniform in (0,1))."""
-    state = state + _GOLDEN
-    u = ((_finalize(state) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return state, u
+    """Advance each stream by one splitmix64 output, in place; returns the uniforms in (0, 1)."""
+    state += _GOLDEN
+    u = (_finalize(state) >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def _stream_init(seed, n):
@@ -81,8 +86,9 @@ def _sample_events(seed, n, t_max, rates, weights, renewal):
 
     The rate (component R with probability P_R) is drawn once per trajectory,
     or afresh before every event when ``renewal``.  Round r draws the r-th
-    event of every trajectory still inside [0, t_max].  Returns (flat event
-    times, offsets): the events of trajectory i are times[offsets[i]:offsets[i+1]].
+    event of every trajectory still inside [0, t_max], whose stream states,
+    clocks and rates are held compacted.  Returns (flat event times,
+    offsets): the events of trajectory i are times[offsets[i]:offsets[i+1]].
     """
     state = _stream_init(seed, n)
     cum = np.cumsum(weights)
@@ -91,8 +97,7 @@ def _sample_events(seed, n, t_max, rates, weights, renewal):
         return rates[np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)]
 
     if not renewal:
-        state, u = _mix(state)
-        frozen = pick(u)
+        frozen = pick(_mix(state))
     cur = np.zeros(n)
     alive = np.arange(n)
     rounds_idx, rounds_t = [], []
@@ -107,17 +112,18 @@ def _sample_events(seed, n, t_max, rates, weights, renewal):
         for _ in range(int(max_rounds)):
             if alive.size == 0:
                 break
-            s = state[alive]
-            if renewal:
-                s, u = _mix(s)
-                gam = pick(u)
-            else:
-                gam = frozen[alive]
-            state[alive], u = _mix(s)
-            cur[alive] += -np.log(u) / gam
-            alive = alive[cur[alive] <= t_max]
+            gam = pick(_mix(state)) if renewal else frozen
+            # the wait is -log(u) / gam; rounds_t holds cur, so it is not written
+            u = _mix(state)
+            np.log(u, out=u)
+            u /= gam
+            cur = np.subtract(cur, u, out=u)
+            keep = np.flatnonzero(cur <= t_max)
+            alive, cur, state = alive[keep], cur[keep], state[keep]
+            if not renewal:
+                frozen = frozen[keep]
             rounds_idx.append(alive)
-            rounds_t.append(cur[alive])
+            rounds_t.append(cur)
         else:
             raise RuntimeError("event sampling did not terminate")
     return _assemble(n, rounds_idx, rounds_t)
@@ -161,19 +167,21 @@ def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
     ``HIST_CELLS`` histogram cells.
     """
     n, nt, ncol = ev_off.size - 1, tgrid.size, cols.shape[0]
-    # "left": an event exactly at t_k counts at t_k
-    g = _grid_rows(tgrid, ev_times)
-    after = np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
+    # an event that takes its trajectory to count c >= 1 is in cell k ncol + c
+    # of the first t_k >= its time ("left"), past the last cell if past the grid
+    cell = _grid_rows(tgrid, ev_times) * ncol
+    cell += np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
     hist = np.zeros(ncol, dtype=np.int64)
     hist[0] = n
     out = np.empty((nt, cols.shape[1]))
     rows = max(1, HIST_CELLS // ncol)
     for k0 in range(0, nt, rows):
         k1 = min(k0 + rows, nt)
-        sel = (g >= k0) & (g < k1)
-        cell = (g[sel] - k0) * ncol + after[sel]
         size = (k1 - k0) * ncol
-        diff = np.bincount(cell, minlength=size) - np.bincount(cell - 1, minlength=size)
+        own = cell if k1 - k0 == nt else cell[(cell >= k0 * ncol) & (cell < k1 * ncol)] - k0 * ncol
+        # each event adds one at its count and takes one from the count before
+        moved = np.bincount(own, minlength=size + 1)
+        diff = moved[:size] - moved[1:size + 1]
         diff[:ncol] += hist
         block = np.cumsum(diff.reshape(k1 - k0, ncol), axis=0)
         hist = block[-1]

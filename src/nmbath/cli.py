@@ -59,8 +59,9 @@ MC_MIN_TRAJECTORIES = 10_000
 # N = round(|x| * 10**(16 - k)) in [10**16, 10**17).  With 10**p held as a
 # double-double hi + lo, Dekker's exact product |x| * hi plus |x| * lo gives
 # the integer part of |x| * 10**(16 - k) exactly and its fraction to about
-# 1e-14 (T. J. Dekker, Numer. Math. 18, 224 (1971)).  Python formats the rest:
-# zeros, nan, inf, |x| outside FMT_RANGE and fractions within 1e-6 of a tie.
+# 1e-14 (T. J. Dekker, Numer. Math. 18, 224 (1971)).  Zeros are 1 with the
+# first digit 0.  Python formats the rest: nan, inf, |x| > 0 outside FMT_RANGE
+# and fractions within 1e-6 of a tie.
 FMT_RANGE = (1e-280, 1e280)
 _P_MIN, _P_MAX = 16 - 281, 16 + 281  # 10**p for k within one of log10 FMT_RANGE
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -74,7 +75,7 @@ def _split(v):
 
 
 def _fmt_tables():
-    """(hi, hi's high half, hi's low half, lo) of 10**p by p - _P_MIN, and the digit pairs.
+    """(hi, hi's high half, hi's low half, lo) of 10**p by p - _P_MIN, and the 4-digit groups.
 
     Built on the first write from exact integers: int-to-float conversion and
     int division round correctly.
@@ -93,9 +94,10 @@ def _fmt_tables():
                 lo.append((den - num * ten) / (den * ten))
         hi = np.array(hi)
         h1 = _split(hi)
-        # "00" .. "99" as uint16, whose two bytes read in order
-        pairs = ((np.arange(100) // 10 + 48) | (np.arange(100) % 10 + 48) << 8).astype("<u2")
-        _FMT_TABLES = hi, h1, hi - h1, np.array(lo), pairs
+        # "0000" .. "9999" as uint32, whose four bytes read in order
+        num = np.arange(10_000)
+        quads = sum((num // 10**(3 - i) % 10 + 48) << 8 * i for i in range(4)).astype("<u4")
+        _FMT_TABLES = hi, h1, hi - h1, np.array(lo), quads
     return _FMT_TABLES
 
 
@@ -137,24 +139,27 @@ def _records(x):
     k += carry
     top = n // 10**8
     d0 = top // 10**8
-    # the 16 digits after the point: two halves of 8, four of 4, eight pairs
-    q = np.stack([top - d0 * 10**8, n - top * 10**8], axis=-1)
-    for s in (10**4, 100):
-        h = q // s
-        q = np.stack([h, q - h * s], axis=-1)
-    pairs = _fmt_tables()[4]
+    # the 16 digits after the point: two halves of 8, each two groups of 4
+    q = np.empty((x.size, 2, 2), np.int64)
+    q[:, 0, 1] = top - d0 * 10**8
+    q[:, 1, 1] = n - top * 10**8
+    np.floor_divide(q[:, :, 1], 10**4, out=q[:, :, 0])
+    q[:, :, 1] -= q[:, :, 0] * 10**4
+    quads = _fmt_tables()[4]
     e = np.abs(k)
-    e100 = e // 100
     rec = np.zeros((x.size, 25), np.uint8)
     rec[:, 0] = np.signbit(x) * ord("-")
     rec[:, 1] = d0 + ord("0")
     rec[:, 2] = ord(".")
-    rec[:, 3:19] = pairs.take(q.reshape(x.size, 8)).view(np.uint8)
+    rec[:, 3:19] = quads.take(q.reshape(x.size, 4)).view(np.uint8)
     rec[:, 19] = ord("e")
     rec[:, 20] = np.where(k < 0, ord("-"), ord("+"))
-    rec[:, 21] = (e100 + ord("0")) * (e100 > 0)
-    rec[:, 22:24] = pairs.take(e - 100 * e100)[:, None].view(np.uint8)
+    rec[:, 21:24] = quads.take(e)[:, None].view(np.uint8)[:, 1:]
+    rec[:, 21] *= e >= 100
     idx = np.flatnonzero(fallback)
+    zero = x[idx] == 0
+    rec[idx[zero], 1] = ord("0")
+    idx = idx[~zero]
     if idx.size:
         text = np.array(["%.16e" % v for v in x[idx].tolist()], dtype="S24")
         rec[idx, :24] = text.view(np.uint8).reshape(idx.size, 24)
@@ -166,8 +171,8 @@ def write_csv(path, header, columns):
 
     Every cell is its value as a double in ``%.16e``: ``nan``, ``inf``,
     ``-inf`` and signed zeros included.  Rows are written in blocks of at
-    most CSV_CELLS values.  Each distinct bit pattern of a block is
-    formatted once, into a record that the cells then gather.
+    most CSV_CELLS values.  Down each column of a block, each run of equal
+    bit patterns is formatted once, into a record that the run's cells repeat.
     """
     names, cols = [], []
     for name, col in zip(header, columns):
@@ -178,19 +183,23 @@ def write_csv(path, header, columns):
         else:
             names.append(name)
             cols.append(col)
-    table = np.column_stack(cols).astype(np.float64, copy=False)
-    rows = max(1, CSV_CELLS // table.shape[1])
+    table = np.stack(cols).astype(np.float64, copy=False)
+    rows = max(1, CSV_CELLS // table.shape[0])
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, table.shape[0], rows):
-            block = table[start:start + rows]
-            # bit patterns keep -0.0 apart from 0.0 and one NaN from another
-            keys, inv = np.unique(block.ravel().view(np.int64), return_inverse=True)
-            rec = _records(keys.view(np.float64)).view("V25")[inv]
-            rec = rec.view(np.uint8).reshape(*block.shape, 25)
-            rec[:, :, 24] = ord(",")
-            rec[:, -1, 24] = ord("\n")
-            fh.write(rec.tobytes().replace(b"\0", b""))
+        for start in range(0, table.shape[1], rows):
+            block = table[:, start:start + rows]
+            # bit patterns keep -0.0 apart from 0.0 and one NaN from another;
+            # a run starts at the top of each column
+            bits = block.view(np.int64)
+            head = np.ones(block.shape, dtype=bool)
+            np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
+            first = np.flatnonzero(head)
+            rec = _records(block[head])
+            rec[:, 24] = ord(",")
+            rec[first >= block.size - block.shape[1], 24] = ord("\n")
+            cells = np.repeat(rec.view("V25").ravel(), np.diff(first, append=block.size))
+            fh.write(cells.reshape(block.shape).T.tobytes().translate(None, b"\0"))
 
 
 def _json_safe(obj):

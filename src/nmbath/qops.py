@@ -141,8 +141,10 @@ def expm1(apply, h, norm, shape):
     """
     squarings = max(0, int(np.frexp(norm)[1]))
     scale = 2.0 ** -squarings
-    term = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
-    ex = np.zeros(shape, dtype=complex)
+    # a real identity, which ``apply`` promotes to the dtype of G; ex += term
+    # first makes ex the new array 0.0 + term
+    term = np.broadcast_to(np.eye(shape[-1]), shape)
+    ex = 0.0
     bound = 1.0  # on |term|_1
     for j in range(1, TAYLOR_DEGREE + 1):
         term = apply(term)
@@ -176,7 +178,7 @@ def block_powers(step, y0, nt, P, weights=None):
     log_b = max((S // D - 1).bit_length(), nt.bit_length() // 2)
     B = 1 << min(log_b, max(nt.bit_length() - 1, 0))
     # rows by doubling: [R_0..R_{m-1}; (R_0..R_{m-1}) Phi^m], m = 1, 2, .., B/2
-    rows = np.tile(P.astype(complex), (n, 1, 1))
+    rows = np.tile(P.astype(np.result_type(P, step, y0)), (n, 1, 1))
     while rows.shape[1] < B * D:
         rows = np.concatenate([rows, rows + rows @ step], axis=1)
         step = 2.0 * step + step @ step
@@ -273,16 +275,19 @@ def coupled_sets(pattern):
     """The sets of indices that a (D, D) boolean ``pattern`` couples, directly or through one another.
 
     Index i and j are coupled when pattern[i, j] or pattern[j, i] holds; the
-    sets are the connected components of that graph, each index sorted.  Sets
-    of one size are stacked: the result is one (sets, size) index array per
-    size.
+    sets are the connected components of that graph, each sorted.  Sets of
+    one size are stacked in order of their smallest index: the result is one
+    (sets, size) index array per size, sizes ascending.
     """
     D = pattern.shape[0]
     reach = pattern | pattern.T | np.eye(D, dtype=bool)
     for _ in range(D.bit_length()):
         reach = reach @ reach
-    sets = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
-    return [np.array([s for s in sets if s.size == size]) for size in {s.size for s in sets}]
+    # each index is labelled by the smallest index of its set
+    label = reach.argmax(axis=1)
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label, minlength=D)[label[order]]
+    return [order[size == k].reshape(-1, k) for k in np.unique(size)]
 
 
 def min_hermitian_eigenvalue(mats):

@@ -263,7 +263,8 @@ def renewal_series(ens: RateEnsemble, t):
 
     With G = -diag(gamma) + gamma P^T, P^T (u - G)^-1 gamma = w / (1 - w), so f(t) =
     P^T e^{tG} gamma and K_reg(t) = P^T e^{tG} G gamma, G gamma = gamma (<gamma> - gamma):
-    the Volterra embedding of one component with E = 1, by exact step maps, with no pole.
+    the Volterra embedding of one component with E = 1, by exact step maps in real
+    arithmetic, with no pole.
     """
     t0, h, nt = qops.arithmetic_grid(t)
     if t0 < 0:
@@ -273,7 +274,7 @@ def renewal_series(ens: RateEnsemble, t):
     norm = np.abs(G).sum(axis=0).max()
     start, step = (qops.expm1(lambda X: G @ X, s, s * norm, (1,) + G.shape) for s in (t0, h))
     y0 = np.stack([r, r * (r @ p - r)], axis=1)[None]
-    return qops.block_powers(step, y0 + start @ y0, nt, p[None]).real.reshape(nt + 1, 2).T
+    return qops.block_powers(step, y0 + start @ y0, nt, p[None]).reshape(nt + 1, 2).T
 
 
 @dataclass(frozen=True)

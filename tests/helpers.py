@@ -295,3 +295,87 @@ def volterra_pole_basis(model, x0, tgrid):
         y = phi @ y
         out.append(y[:D])
     return np.array(out)
+
+
+def gather_scatter_events(seed, n, t_max, rates, weights, renewal):
+    """Event times and offsets by the sampler's earlier round loop.
+
+    Every round gathers the stream state, clock and frozen rate of the live
+    trajectories from full-length arrays through their indices and scatters
+    them back; :func:`nmbath._mc._sample_events` keeps them compacted.  The
+    draws of each stream are the same.
+    """
+    def mix(state):
+        state = state + _mc._GOLDEN
+        return state, ((_mc._finalize(state) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+    state = _mc._stream_init(seed, n)
+    cum = np.cumsum(weights)
+
+    def pick(u):
+        return rates[np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)]
+
+    if not renewal:
+        state, u = mix(state)
+        frozen = pick(u)
+    cur = np.zeros(n)
+    alive = np.arange(n)
+    rounds_idx, rounds_t = [], []
+    with np.errstate(divide="ignore", over="ignore"):
+        while alive.size:
+            s = state[alive]
+            if renewal:
+                s, u = mix(s)
+                gam = pick(u)
+            else:
+                gam = frozen[alive]
+            state[alive], u = mix(s)
+            cur[alive] += -np.log(u) / gam
+            alive = alive[cur[alive] <= t_max]
+            rounds_idx.append(alive)
+            rounds_t.append(cur[alive])
+    return _mc._assemble(n, rounds_idx, rounds_t)
+
+
+def count_histogram_two_bincounts(cols, tgrid, ev_times, ev_off, hist_cells):
+    """:func:`nmbath._mc._count_histogram_sums` with the event moves counted twice.
+
+    In each block of at most ``hist_cells`` cells, one ``bincount`` adds each
+    event at its count and a second takes it from the count before.
+    """
+    n, nt, ncol = ev_off.size - 1, tgrid.size, cols.shape[0]
+    g = np.searchsorted(tgrid, ev_times, side="left")
+    after = np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
+    hist = np.zeros(ncol, dtype=np.int64)
+    hist[0] = n
+    out = np.empty((nt, cols.shape[1]))
+    rows = max(1, hist_cells // ncol)
+    for k0 in range(0, nt, rows):
+        k1 = min(k0 + rows, nt)
+        sel = (g >= k0) & (g < k1)
+        cell = (g[sel] - k0) * ncol + after[sel]
+        size = (k1 - k0) * ncol
+        diff = np.bincount(cell, minlength=size) - np.bincount(cell - 1, minlength=size)
+        diff[:ncol] += hist
+        block = np.cumsum(diff.reshape(k1 - k0, ncol), axis=0)
+        hist = block[-1]
+        out[k0:k1] = block @ cols
+    return out
+
+
+def union_find_sets(pattern):
+    """The coupled sets of a (D, D) boolean pattern by union-find, as a set of frozensets."""
+    parent = list(range(pattern.shape[0]))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(pattern)):
+        parent[root(i)] = root(j)
+    groups = {}
+    for i in range(len(parent)):
+        groups.setdefault(root(i), set()).add(i)
+    return {frozenset(g) for g in groups.values()}

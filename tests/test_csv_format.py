@@ -1,9 +1,11 @@
 """Every CSV cell is Python's ``%.16e`` of its double, byte for byte.
 
 ``write_csv`` formats in numpy: it scales |x| by a power of ten held as a
-double-double and prints the integer part, and hands zeros, non-finite
-values, |x| outside ``cli.FMT_RANGE`` and near-ties to Python.  Each set
-below is written as one column and compared with Python's own formatting.
+double-double and prints the integer part, writes zeros from the record of
+1, and hands non-finite values, |x| > 0 outside ``cli.FMT_RANGE`` and
+near-ties to Python.  Each set below is written as one column and compared
+with Python's own formatting; the tables at the end hold runs of equal
+values down their columns, which the writer formats once per run.
 """
 
 import numpy as np
@@ -71,3 +73,41 @@ def test_edge_values(tmp_path):
     edge = np.concatenate([subnormals, table_edges, three_digit_exponents, nans,
                            [np.inf, -np.inf, 0.0, -0.0]])
     assert_formats_like_python(tmp_path, np.concatenate([edge, -edge]))
+
+
+def run_tables():
+    """Tables whose columns hold long runs, alternations and runs across the block edges."""
+    rng = np.random.default_rng(31)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001],
+                    dtype=np.uint64).view(np.float64)
+    specials = np.concatenate([nans, [0.0, -0.0, np.inf, -np.inf, 5e-324, -1e-310,
+                                      np.nextafter(np.finfo(float).tiny, 0.0)]])
+    # near-ties: odd multiples of 1/4 near 1e15 and their neighbours
+    tie = (2.0 * rng.integers(2**51, 2**52, size=4) + 1.0) / 4
+    near = np.concatenate([tie, np.nextafter(tie, np.inf), np.nextafter(tie, -np.inf)])
+    n = 97
+    long_runs = np.repeat(rng.choice(np.concatenate([specials, near, [1 / 3]]), 7), 14)[:n]
+    alternating = np.resize([0.0, -0.0], n)
+    flicker = np.resize(np.concatenate([specials, near]), n)
+    constant = np.full(n, -2.5)
+    spread = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    full = np.stack([long_runs, alternating, flicker, constant, spread], axis=1)
+    # a column that starts with the value that ends the one before it
+    twins = np.stack([constant, constant, long_runs, long_runs[::-1]], axis=1)
+    return {"full": full, "single_row": full[:1], "single_column": full[:, :1],
+            "one_cell": full[:1, 2:3], "runs_in_one_column": long_runs[:, None],
+            "twin_columns": twins}
+
+
+@pytest.mark.parametrize("name", list(run_tables()))
+@pytest.mark.parametrize("cells", [None, 1, 7, 13], ids=["default", "one_row", "cells7", "cells13"])
+def test_runs_down_columns_format_like_python(tmp_path, monkeypatch, name, cells):
+    if cells is not None:
+        monkeypatch.setattr(cli, "CSV_CELLS", cells)
+    table = run_tables()[name]
+    header = [f"c{j}" for j in range(table.shape[1])]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, list(table.T))
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join("%.16e" % v for v in row) + "\n" for row in table.tolist())
+    assert path.read_bytes() == expected.encode("utf-8")

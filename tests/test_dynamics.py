@@ -10,8 +10,9 @@ import nmbath as nm
 from nmbath import _mc, cli, dynamics, qops, qrt, ratebath
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
-from helpers import (apply_superop, ensemble_propagators, exact_memory_superop, generator,
-                     propagate, rate_basis_generator, single_rate_ensemble, trajectory_moments,
+from helpers import (apply_superop, count_histogram_two_bincounts, ensemble_propagators,
+                     exact_memory_superop, gather_scatter_events, generator, propagate,
+                     rate_basis_generator, single_rate_ensemble, trajectory_moments,
                      unsplit_expm1, volterra_pole_basis, volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
@@ -687,6 +688,21 @@ class TestEventSampling:
             counts = np.diff(offsets)
             assert counts.min() == 0 and counts.max() > 1
 
+    @pytest.mark.parametrize("rates,weights", [([2.2, 0.9], [0.5, 0.5]),
+                                               ([2.0, 0.0, 0.7], [0.3, 0.4, 0.3]),
+                                               ([1.5, 1e-310], [0.6, 0.4])],
+                             ids=["two_levels", "zero_rate_level", "overflowing_wait"])
+    @pytest.mark.parametrize("n", [1, 2, 777])
+    def test_compacted_streams_match_the_gather_scatter_loop(self, rates, weights, n):
+        rates, weights = np.array(rates), np.array(weights)
+        for seed in (1, 3, 99, 2**64 - 5):
+            for renewal in (False, True):
+                times, offsets = _mc._sample_events(seed, n, 2.5, rates, weights, renewal)
+                ref_times, ref_offsets = gather_scatter_events(seed, n, 2.5, rates, weights,
+                                                               renewal)
+                assert np.array_equal(offsets, ref_offsets)
+                assert np.array_equal(times, ref_times)
+
     def test_no_trajectories(self):
         # n = 0 draws no round at all
         for sample in (_mc.sample_frozen_events, _mc.sample_renewal_events):
@@ -814,6 +830,24 @@ class TestCountHistogram:
         rowwise = _mc.run_trajectories(self.V0, tg, times, off, None, E)
         for a, b in zip(whole, rowwise):
             assert np.max(np.abs(a - b)) < 1e-14
+
+    @pytest.mark.parametrize("cells", [None, 40, 1], ids=["one_block", "blocks", "rowwise"])
+    def test_one_bincount_matches_two(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(_mc, "HIST_CELLS", cells)
+        rates, weights = np.array([2.0, 1.0]), np.array([0.5, 0.5])
+        tg = nm.time_grid(3.0, 30)
+        # events at t = 0, exactly at grid times and past the grid end
+        edge = [0.0, 0.0, tg[1], tg[1], tg[7], tg[-1], 3.5, 9.0], [0, 0, 3, 5, 8]
+        streams = [(tg, *_mc.sample_renewal_events(4, 500, tg[-1], rates, weights)),
+                   (tg, *edge), *((EDGE_GRID, *stream) for stream in EDGE_STREAMS)]
+        for grid, times, off in streams:
+            times, off = np.asarray(times, dtype=float), np.asarray(off, dtype=np.int64)
+            ncol = int(np.diff(off).max(initial=0)) + 1
+            cols = np.random.default_rng(ncol).normal(size=(ncol, 5))
+            got = _mc._count_histogram_sums(cols, grid, times, off)
+            ref = count_histogram_two_bincounts(cols, grid, times, off, _mc.HIST_CELLS)
+            assert np.array_equal(got, ref)
 
     def test_route_in_meta(self):
         ens = nm.two_state_ensemble(0.5, 2.0, 1.0)

@@ -6,7 +6,7 @@ from nmbath import qops
 from nmbath.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
 
 from helpers import (apply_superop, devectorize, hermiticity_defect, propagate, resolvent,
-                     trace_defect)
+                     trace_defect, union_find_sets)
 
 
 def random_hermitian(rng, d):
@@ -220,6 +220,18 @@ class TestRateStack:
         with pytest.raises(ValueError):
             stack.average(times, np.eye(4)[None])
 
+    def test_real_generator_stays_real(self):
+        # the renewal chain's generator is real, and so are its step map and powers
+        G = np.random.default_rng(9).normal(size=(1, 5, 5))
+        step = qops.expm1(lambda X: G @ X, 0.3, 0.3 * np.abs(G).sum(axis=1).max(), G.shape)
+        assert step.dtype == np.float64
+        assert np.max(np.abs(step[0] - (propagate(G[0], 0.3) - np.eye(5)))) < 1e-14
+        y0 = np.ones((1, 5, 1))
+        out = qops.block_powers(step, y0, 7, np.eye(5)[:2])
+        assert out.dtype == np.float64
+        ref = [np.linalg.matrix_power(np.eye(5) + step[0], k)[:2] @ y0[0] for k in range(8)]
+        assert np.max(np.abs(out[:, 0] - np.array(ref))) < 1e-13
+
     @pytest.mark.parametrize("nt", [0, 1, 2, 3, 8, 100])
     def test_block_powers_match_plain_loop(self, nt):
         # S == D, as for the rate stack: the block is still longer than one step
@@ -306,6 +318,22 @@ class TestChoi:
         assert isinstance(single, float) and abs(single + 1.0) < 1e-12
         mins = qops.choi_min_eigenvalue(np.stack([transpose_map, np.eye(4)]))
         assert np.allclose(mins, [-1.0, 0.0], atol=1e-12)
+
+
+class TestCoupledSets:
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 16])
+    def test_match_union_find(self, D):
+        rng = np.random.default_rng(D)
+        for density in (0.0, 0.05, 0.15, 0.4, 1.0):
+            pattern = rng.random((D, D)) < density
+            groups = qops.coupled_sets(pattern)
+            sets = [row.tolist() for g in groups for row in g]
+            assert {frozenset(s) for s in sets} == union_find_sets(pattern)
+            assert sum(len(s) for s in sets) == D
+            # each set sorted; sets of one size in order of their smallest index
+            assert all(s == sorted(s) for s in sets)
+            assert [g.shape[1] for g in groups] == sorted({len(s) for s in sets})
+            assert all(list(g[:, 0]) == sorted(g[:, 0]) for g in groups)
 
 
 class TestMinHermitianEigenvalue:
