@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from . import qops
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -157,19 +159,20 @@ def _grid_rows(tgrid, t):
     return g
 
 
-def _count_histogram_sums(cols, tgrid, ev_times, ev_off):
+def _count_histogram_sums(cols, tgrid, ev_times, ev_off, row=None):
     """Sum over trajectories of ``cols[N_i(t_k)]`` at every grid time t_k.
 
     N_i(t) is the number of events of trajectory i up to and including t.  The
     histogram of N over trajectories changes only where an event moves one
     trajectory from count c - 1 to c, so it is the running sum over time of a
     difference array.  Grid times are taken in blocks of at most
-    ``HIST_CELLS`` histogram cells.
+    ``HIST_CELLS`` histogram cells.  ``row`` is ``_grid_rows(tgrid,
+    ev_times)`` where the caller has it already.
     """
     n, nt, ncol = ev_off.size - 1, tgrid.size, cols.shape[0]
     # an event that takes its trajectory to count c >= 1 is in cell k ncol + c
     # of the first t_k >= its time ("left"), past the last cell if past the grid
-    cell = _grid_rows(tgrid, ev_times) * ncol
+    cell = (_grid_rows(tgrid, ev_times) if row is None else row) * ncol
     cell += np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
     hist = np.zeros(ncol, dtype=np.int64)
     hist[0] = n
@@ -260,20 +263,36 @@ def _runs(omega):
     return np.flatnonzero(np.diff(omega, prepend=-np.inf))
 
 
-def _event_sums(tgrid, ev_times, ev_off, state0, omega, A, P, ops, nq):
+def _fold(z, zc, q, ops):
+    """Write the products z_(g+k) conj(z_g) of features z (rows, nz, m) into q by ``ops``.
+
+    ``zc`` is conj(z); ``ops`` is from :func:`_fold_plan`.
+    """
+    for k, g0, g1, c, fold, first in ops:
+        a, b = z[:, g0 + k:g1 + k], zc[:, g0:g1]
+        if not fold:
+            np.multiply(a, b, out=q[:, c:c + g1 - g0])
+        elif first:
+            np.add.reduce(a * b, axis=1, out=q[:, c])
+        else:
+            q[:, c] += (a * b).sum(axis=1)
+
+
+def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
     """Sums over trajectories of each state's features at every grid time.
 
     A state is a (rows, D) array; every trajectory starts in ``state0`` and
     changes state only at its events, where each row x maps to D(-s) A D(s) x,
-    D(s) = diag(exp(i omega s)).  ``omega`` is sorted and odd:
-    omega[::-1] == -omega, so D(-s) is D(s) reversed, and one complex exp per
-    distinct positive frequency gives D(s).  The features of a row are
+    D(s) = diag(exp(i omega s)) with ``omega`` sorted.  One complex exp per
+    distinct |omega| > 0 gives D(s): the columns of -|omega| take its
+    conjugate, and D(-s) is conj(D(s)).  The features of a row are
     z = P (x - x0), where x0 is its row of ``state0``, then the products
     z_(g+k) conj(z_g) folded into ``nq`` features by ``ops``
     (:func:`_fold_plan`), row after row.  They are constant between events,
     so each event adds features(new) - features(old) to a difference array at
-    the first grid time t_g >= s, and one running sum over time, from 0, gives
-    their sums: all 0 until the first event.
+    the first grid time t_g >= s (``row``, from :func:`_grid_rows`), and one
+    running sum over time, from 0, gives their sums: all 0 until the first
+    event.
 
     Trajectories are sorted by event count (stable, descending) and taken in
     blocks of at most ``HIST_CELLS`` cells of states and features, held as
@@ -288,25 +307,24 @@ def _event_sums(tgrid, ev_times, ev_off, state0, omega, A, P, ops, nq):
     width = rows * nf
     x0 = state0[:, :, None]
     z0 = P @ x0
-    npos = np.count_nonzero(omega > 0)
-    # the columns [j0, j1) of each distinct positive frequency w
+    # for each distinct w = |omega| > 0, the columns [p0, p1) of +w and [m0, m1) of -w
     starts = _runs(omega)
-    pos = [(j0, j1, 1j * omega[j0]) for j0, j1 in zip(starts, [*starts[1:], D])
-           if omega[j0] > 0]
+    run = {omega[j0]: (j0, j1) for j0, j1 in zip(starts, [*starts[1:], D])}
+    pos = [(1j * w, run.get(w, (0, 0)), run.get(-w, (0, 0)))
+           for w in sorted({abs(v) for v in run if v != 0})]
     # row nt collects the events past the grid
     flat = np.zeros((nt + 1) * width, dtype=np.complex128)
     diff = flat.reshape(nt + 1, width)
-    # "left": an event exactly at t_k counts at t_k
-    row = _grid_rows(tgrid, ev_times)
     cols = np.arange(width).reshape(rows, nf, 1)
     counts = np.diff(ev_off)
     order = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
     block = max(1, min(HIST_CELLS // (rows * (D + nf)), order.size))
     # the states and features after this round's event, and the buffers of the
-    # next round; D(s) and the work arrays
+    # next round; D(s), D(-s) and the work arrays
     xbuf = np.empty((2, rows * D * block), dtype=np.complex128)
     fbuf = np.empty((2, width * block), dtype=np.complex128)
-    ph_buf = np.ones((D, block), dtype=np.complex128)
+    ph_buf = np.ones((2, D, block), dtype=np.complex128)
+    e_buf = np.empty((2, block), dtype=np.complex128)
     tmp = np.empty((rows, D, block), dtype=np.complex128)
     zc_buf = np.empty((rows, nz, block), dtype=np.complex128)
     for i0 in range(0, order.size, block):
@@ -318,32 +336,43 @@ def _event_sums(tgrid, ev_times, ev_off, state0, omega, A, P, ops, nq):
         for r, m in enumerate(alive):
             k = first[:m] + r
             s = ev_times[k]
-            ph = ph_buf[:, :m]
-            for j0, j1, w in pos:
-                np.exp(s * w, out=ph[j0])
-                ph[j0 + 1:j1] = ph[j0]
-            np.conjugate(ph[D - npos:][::-1], out=ph[:npos])
+            (ph, phc), (e, ec) = ph_buf[:, :, :m], e_buf[:, :m]
+            for w, (p0, p1), (m0, m1) in pos:
+                np.exp(s * w, out=e)
+                np.conjugate(e, out=ec)
+                ph[p0:p1] = phc[m0:m1] = e
+                ph[m0:m1] = phc[p0:p1] = ec
             new_x = xbuf[r % 2, :rows * D * m].reshape(rows, D, m)
             new_f = fbuf[r % 2, :width * m].reshape(rows, nf, m)
             np.multiply(old_x[:, :, :m], ph, out=tmp[:, :, :m])
             np.matmul(A, tmp[:, :, :m], out=new_x)
-            np.multiply(new_x, ph[::-1], out=new_x)
-            z, q, zc = new_f[:, :nz], new_f[:, nz:], zc_buf[:, :, :m]
+            np.multiply(new_x, phc, out=new_x)
+            z, zc = new_f[:, :nz], zc_buf[:, :, :m]
             np.matmul(P, new_x, out=z)
             z -= z0
             np.conjugate(z, out=zc)
-            for kk, g0, g1, c, fold, first_op in ops:
-                a, b = z[:, g0 + kk:g1 + kk], zc[:, g0:g1]
-                if not fold:
-                    np.multiply(a, b, out=q[:, c:c + g1 - g0])
-                elif first_op:
-                    np.add.reduce(a * b, axis=1, out=q[:, c])
-                else:
-                    q[:, c] += (a * b).sum(axis=1)
+            _fold(z, zc, new_f[:, nz:], ops)
             delta = new_f if old_f is None else new_f - old_f[:, :, :m]
             np.add.at(flat, (cols + row[k] * width).ravel(), delta.ravel())
             old_x, old_f = new_x, new_f
     return np.cumsum(diff[:nt], axis=0)
+
+
+def _power_sums(tgrid, ev_times, ev_off, row, state0, A, P, ops, nq):
+    """:func:`_event_sums` where D(s) is a scalar on every coupled set of A.
+
+    There D(-s) A D(s) = A: a trajectory with N events is at A^N x0, row by
+    row, and the event-count histogram weights the features of the powers.
+    """
+    x = [state0]
+    for _ in range(int(np.diff(ev_off).max(initial=0))):
+        x.append(x[-1] @ A.T)
+    z = P @ np.stack(x, axis=2) - P @ state0[:, :, None]
+    q = np.empty((z.shape[0], nq, z.shape[2]), dtype=np.complex128)
+    _fold(z, z.conj(), q, ops)
+    # complex features as Re, Im column pairs, at count k in row k
+    cols = np.concatenate([z, q], axis=1).reshape(-1, z.shape[2]).T.copy().view(np.float64)
+    return _count_histogram_sums(cols, tgrid, ev_times, ev_off, row).view(np.complex128)
 
 
 def _eigenbasis(H):
@@ -358,6 +387,18 @@ def _eigenbasis(H):
     return np.kron(U.conj(), U)[:, perm], lam[perm]
 
 
+def _sets(pattern, omega):
+    """Per column, the first column of its set in ``qops.coupled_sets(pattern)`` and
+    whether every column of that set has the same frequency ``omega``."""
+    label = np.empty(omega.size, dtype=np.intp)
+    static = np.empty(omega.size, dtype=bool)
+    for sets in qops.coupled_sets(pattern):
+        w = omega[sets]
+        label[sets] = sets[:, :1]
+        static[sets] = np.all(w == w[:, :1], axis=1)[:, None]
+    return label, static
+
+
 def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     """Return (mean, standard error) over all trajectories at every uniform grid time.
 
@@ -370,8 +411,7 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     memory-kernel equation.  Without ``H`` both orderings give E^N(t) v0 and
     the moments come from event-count histograms.  Otherwise each trajectory
     is written in the eigenbasis (W, lam) of L_H (:func:`_eigenbasis`), where
-    its state changes only at events (see :func:`_event_sums`), with
-    E' = W^dag E W:
+    its state changes only at events, with E' = W^dag E W:
 
     * forward: v(t) = W (exp(lam t) * c), with c <- D(-s) E' D(s) c at each
       event from c = W^dag v0.  Only the entries y_a of y = c - W^dag v0
@@ -383,6 +423,13 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
       the columns j of frequency w_f; |.|^2 needs the products
       z_if conj(z_ig) only summed over the pairs of one difference
       w_f - w_g.
+
+    The columns split into the coupled sets of E' (for the forward string,
+    of E' and of the pairs that one output row reads together).  On a set
+    whose frequencies are all equal D(s) is a scalar, so D(-s) E' D(s) = E'
+    there and a trajectory with N events is at a power of E'
+    (:func:`_power_sums`); only the other sets, and the rows of B that touch
+    them, take the event rounds of :func:`_event_sums`.
 
     Both routes sum the moments of v(t) - a(t), where a(t) is the trajectory
     without events (v0, or W (exp(lam t) * W^dag v0)), and add a(t) back to
@@ -424,36 +471,60 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     phases = np.exp(np.outer(tgrid, lam))
     x = phases * c0
     Wu = W[up]
+    reads = Wu != 0
     # the trajectory without events, W (exp(lam t) * c0), under both strings
     ref = x @ Wu.T
+    # "left": an event exactly at t_k counts at t_k
+    row = _grid_rows(tgrid, ev_times)
+    dev_sum = np.zeros((nt, up.size), dtype=np.complex128)
+    dev_sq = np.zeros((nt, up.size))
+
+    def sums(part, C, state0, A, P, ops, nq):
+        # part: the sets of C each have one frequency
+        if part:
+            return _power_sums(tgrid, ev_times, ev_off, row, state0, A, P, ops, nq)
+        return _event_sums(tgrid, ev_times, ev_off, row, state0, omega[C], A, P, ops, nq)
+
     if composition == "forward":
         # the entries y_a that some output row reads, and the pairs it reads together
-        lin = np.flatnonzero(np.any(Wu != 0, axis=0))
-        Wl = Wu[:, lin]
-        ops, pairs = _fold_plan(lin.size, lambda k, g: (
-            (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
-        sums = _event_sums(tgrid, ev_times, ev_off, c0[None], omega, E_eig,
-                           np.eye(dsq, dtype=np.complex128)[lin], ops, len(pairs))
-        Y = Wl * phases[:, None, lin]
-        dev_sum = np.einsum("kia,ka->ki", Y, sums[:, :lin.size])
-        k, g = np.array(pairs).T
-        # an off-diagonal product stands for itself and its conjugate
-        quad = sums[:, lin.size:] * np.where(k == 0, 1.0, 2.0)
-        dev_sq = np.einsum("kic,kc,kic->ki", Y[:, :, g + k], quad, Y[:, :, g].conj()).real
+        lin = np.flatnonzero(np.any(reads, axis=0))
+        label, static = _sets((E_eig != 0) | (reads.T @ reads), omega)
+        Y = Wu[:, lin] * phases[:, None, lin]
+        for part in np.unique(static[lin]):
+            lp = np.flatnonzero(static[lin] == part)
+            C = np.flatnonzero(np.isin(label, label[lin[lp]]))
+            Wl = Wu[:, lin[lp]]
+            ops, pairs = _fold_plan(lp.size, lambda k, g: (
+                (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
+            feat = sums(part, C, c0[None, C], E_eig[np.ix_(C, C)],
+                        np.eye(C.size, dtype=np.complex128)[np.searchsorted(C, lin[lp])],
+                        ops, len(pairs))
+            dev_sum += np.einsum("kia,ka->ki", Y[:, :, lp], feat[:, :lp.size])
+            k, g = np.array(pairs).T
+            # an off-diagonal product stands for itself and its conjugate
+            quad = feat[:, lp.size:] * np.where(k == 0, 1.0, 2.0)
+            dev_sq += np.einsum("kic,kc,kic->ki", Y[:, :, lp[g + k]], quad,
+                                Y[:, :, lp[g]].conj()).real
     else:
-        # the columns of each distinct frequency, weighted by c0; and the
-        # pairs of bins folded by their difference of frequency
-        starts = _runs(omega)
-        nz, w = starts.size, omega[starts]
-        P = np.zeros((nz, dsq), dtype=np.complex128)
-        P[np.searchsorted(starts, np.arange(dsq), side="right") - 1, np.arange(dsq)] = c0
-        ops, pairs = _fold_plan(nz, lambda k, g: w[g + k] - w[g])
-        # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
-        sums = _event_sums(tgrid, ev_times, ev_off, Wu, omega, E_eig.T, P, ops,
-                           len(pairs)).reshape(nt, up.size, -1)
-        dev_sum = np.einsum("kif,kf->ki", sums[:, :, :nz], phases[:, starts])
-        k, g = np.array(pairs).T
-        nu = w[g + k] - w[g]
-        quad = np.exp(1j * np.outer(tgrid, nu)) * np.where(k == 0, 1.0, 2.0)
-        dev_sq = np.einsum("kic,kc->ki", sums[:, :, nz:], quad).real
+        label, static = _sets(E_eig != 0, omega)
+        # a row of B is static when every set that it touches is
+        still = np.all(static | ~reads, axis=1)
+        for part in np.unique(still):
+            rows = np.flatnonzero(still == part)
+            C = np.flatnonzero(np.isin(label, label[np.any(reads[rows], axis=0)]))
+            # the columns of each distinct frequency, weighted by c0; and the
+            # pairs of bins folded by their difference of frequency
+            starts = _runs(omega[C])
+            nz, w = starts.size, omega[C[starts]]
+            P = np.zeros((nz, C.size), dtype=np.complex128)
+            P[np.searchsorted(w, omega[C]), np.arange(C.size)] = c0[C]
+            ops, pairs = _fold_plan(nz, lambda k, g: w[g + k] - w[g])
+            # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
+            feat = sums(part, C, Wu[np.ix_(rows, C)], E_eig[np.ix_(C, C)].T, P, ops,
+                        len(pairs)).reshape(nt, rows.size, -1)
+            dev_sum[:, rows] = np.einsum("kif,kf->ki", feat[:, :, :nz], phases[:, C[starts]])
+            k, g = np.array(pairs).T
+            nu = w[g + k] - w[g]
+            quad = np.exp(1j * np.outer(tgrid, nu)) * np.where(k == 0, 1.0, 2.0)
+            dev_sq[:, rows] = np.einsum("kic,kc->ki", feat[:, :, nz:], quad).real
     return _mirror(d, *_mean_stderr(ref, dev_sum, dev_sq, n))

@@ -54,6 +54,9 @@ CSV_CELLS = 1 << 16
 # sampler takes one round per event of its busiest trajectory
 MC_EVENT_BUDGET = 1e9
 MC_MIN_TRAJECTORIES = 10_000
+# most cells (rows times columns) of one output table, refused before its
+# grid is built: at 25 bytes a cell, a 250 MB CSV
+OUTPUT_CELL_BUDGET = 1e7
 
 # %.16e prints a double x != 0 as N * 10**(k - 16), k = floor(log10 |x|) and
 # N = round(|x| * 10**(16 - k)) in [10**16, 10**17).  With 10**p held as a
@@ -194,12 +197,14 @@ def write_csv(path, header, columns):
             bits = block.view(np.int64)
             head = np.ones(block.shape, dtype=bool)
             np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
-            first = np.flatnonzero(head)
             rec = _records(block[head])
             rec[:, 24] = ord(",")
-            rec[first >= block.size - block.shape[1], 24] = ord("\n")
-            cells = np.repeat(rec.view("V25").ravel(), np.diff(first, append=block.size))
-            fh.write(cells.reshape(block.shape).T.tobytes().translate(None, b"\0"))
+            rec[np.flatnonzero(head) >= block.size - block.shape[1], 24] = ord("\n")
+            # each cell's record, gathered once in row order
+            run = np.cumsum(head, axis=None).reshape(block.shape)
+            run -= 1
+            cells = rec.view("V25").ravel()[run.T]
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def _json_safe(obj):
@@ -255,12 +260,25 @@ def _ensemble_summary(ens):
     return out
 
 
+def _check_cells(keys, rows, columns):
+    """Refuse a table of rows x columns cells above OUTPUT_CELL_BUDGET, naming its ``keys``."""
+    if rows * columns > OUTPUT_CELL_BUDGET:
+        raise ConfigError(f"{keys}: {rows} rows of {columns} columns make {rows * columns:.3g} "
+                          f"output cells, above the budget of {OUTPUT_CELL_BUDGET:.0e}")
+
+
+def _series_grid(cfg, t_max, columns):
+    """The ``grid.steps`` time grid of a table of ``columns``, within the output-cell budget."""
+    steps = cfgmod.count(cfg, "grid.steps")
+    _check_cells("key 'grid.steps'", steps + 1, columns)
+    return time_grid(t_max, steps)
+
+
 def cmd_kernel(args):
     cfg, out_dir = _load(args)
     ens = cfgmod.build_ensemble(cfg)
     t_max = cfgmod.grid_t_max(cfg, ens)
-    steps = cfgmod.count(cfg, "grid.steps")
-    tg = time_grid(t_max, steps)[1:]  # t > 0 so the fractional branch can invert
+    tg = _series_grid(cfg, t_max, 5)[1:]  # t > 0 so the fractional branch can invert
 
     if isinstance(ens, FractionalKernelModel):
         w, p0, f, k_reg = talbot_invert(ens.series_of_u, tg)
@@ -347,7 +365,9 @@ def cmd_evolve(args):
                               "the mc_* solvers need sum V^dag V = I") from None
     rho0 = _initial_state(model)
     t_max = cfgmod.grid_t_max(cfg, model.ensemble)
-    tg = time_grid(t_max, cfgmod.count(cfg, "grid.steps"))
+    # the widest table: t, re and im of the d^2 entries and their standard
+    # errors, the Bloch vector, trace drift and least eigenvalue
+    tg = _series_grid(cfg, t_max, 3 * model.dim ** 2 + 6)
     seed = cfgmod.seed(cfg)
     n_traj = cfgmod.count(cfg, "solver.trajectories")
     # no trajectory has more than about t_max * gamma_max events; a product
@@ -410,9 +430,11 @@ def cmd_correlate(args):
                           f"but the model is {model.dim}x{model.dim}")
     basis = qrt.pauli_basis()
     rho0 = _initial_state(model)
-    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble),
-                   cfgmod.count(cfg, "grid.corr_t_steps"))
-    taug = time_grid(cfgmod.duration(cfg, "grid.tau_max"), cfgmod.count(cfg, "grid.tau_steps"))
+    t_steps, tau_steps = (cfgmod.count(cfg, f"grid.{k}_steps") for k in ("corr_t", "tau"))
+    _check_cells("keys 'grid.corr_t_steps'/'grid.tau_steps'", (t_steps + 1) * (tau_steps + 1),
+                 2 + 3 * len(_BASIS_LABELS))
+    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), t_steps)
+    taug = time_grid(cfgmod.duration(cfg, "grid.tau_max"), tau_steps)
     surf = qrt.qrt_residual(model, rho0, S, basis, tg, taug)
 
     t_col = np.repeat(surf.tgrid, surf.taugrid.size)
@@ -457,7 +479,7 @@ def cmd_cpcheck(args):
     if not methods:
         print("warning: cpcheck needs deterministic solvers; nothing to do", file=sys.stderr)
         return 0
-    tg = time_grid(cfgmod.grid_t_max(cfg, model.ensemble), cfgmod.count(cfg, "grid.steps"))
+    tg = _series_grid(cfg, cfgmod.grid_t_max(cfg, model.ensemble), 1 + 2 * len(methods))
     header, cols = ["t"], [tg]
     summary = {"tolerance": -1e-8, "solvers": {}}
     # the Choi diagonal is S[i + d i, a + d a], a outer and i inner
@@ -483,6 +505,7 @@ def cmd_cpcheck(args):
 def cmd_fitpow(args):
     cfg, out_dir = _load(args)
     ens = cfgmod.build_ensemble(cfg)
+    _check_cells("key 'fitpow.points'", cfgmod.count(cfg, "fitpow.points"), 2)
     if isinstance(ens, FractionalKernelModel):
         lo, hi, tg = cfgmod.fit_grid(cfg, (5.0 / ens.mean_rate, 500.0 / ens.mean_rate))
         w = talbot_invert(ens.w_of_u, tg)

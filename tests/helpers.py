@@ -238,6 +238,50 @@ def trajectory_moments(v0, tgrid, times, off, L_H, E, composition):
     return mean, np.sqrt(var / n)
 
 
+def event_round_moments(v0, tgrid, times, off, H, E, composition):
+    """:func:`nmbath._mc.run_trajectories` with every column of the eigenbasis in event rounds.
+
+    No column takes the count histogram of a set of one frequency: one call of
+    :func:`nmbath._mc._event_sums` carries the whole state on the same events.
+    """
+    v0, E = np.asarray(v0, dtype=complex), np.asarray(E, dtype=complex)
+    times, off = np.asarray(times, dtype=float), np.asarray(off, dtype=np.int64)
+    d = int(round(np.sqrt(v0.size)))
+    up = _mc._upper(d)[0]
+    W, lam = _mc._eigenbasis(H)
+    omega, nt = lam.imag, tgrid.size
+    E_eig, c0 = W.conj().T @ E @ W, W.conj().T @ v0
+    phases = np.exp(np.outer(tgrid, lam))
+    Wu = W[up]
+    ref = (phases * c0) @ Wu.T
+    row = _mc._grid_rows(tgrid, times)
+    if composition == "forward":
+        lin = np.flatnonzero(np.any(Wu != 0, axis=0))
+        Wl = Wu[:, lin]
+        ops, pairs = _mc._fold_plan(lin.size, lambda k, g: (
+            (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
+        sums = _mc._event_sums(tgrid, times, off, row, c0[None], omega, E_eig,
+                               np.eye(v0.size, dtype=complex)[lin], ops, len(pairs))
+        Y = Wl * phases[:, None, lin]
+        dev_sum = np.einsum("kia,ka->ki", Y, sums[:, :lin.size])
+        k, g = np.array(pairs).T
+        quad = sums[:, lin.size:] * np.where(k == 0, 1.0, 2.0)
+        dev_sq = np.einsum("kic,kc,kic->ki", Y[:, :, g + k], quad, Y[:, :, g].conj()).real
+    else:
+        starts = _mc._runs(omega)
+        nz, w = starts.size, omega[starts]
+        P = np.zeros((nz, v0.size), dtype=complex)
+        P[np.searchsorted(starts, np.arange(v0.size), side="right") - 1, np.arange(v0.size)] = c0
+        ops, pairs = _mc._fold_plan(nz, lambda k, g: w[g + k] - w[g])
+        sums = _mc._event_sums(tgrid, times, off, row, Wu, omega, E_eig.T, P, ops,
+                               len(pairs)).reshape(nt, up.size, -1)
+        dev_sum = np.einsum("kif,kf->ki", sums[:, :, :nz], phases[:, starts])
+        k, g = np.array(pairs).T
+        quad = np.exp(1j * np.outer(tgrid, w[g + k] - w[g])) * np.where(k == 0, 1.0, 2.0)
+        dev_sq = np.einsum("kic,kc->ki", sums[:, :, nz:], quad).real
+    return _mc._mirror(d, *_mc._mean_stderr(ref, dev_sum, dev_sq, off.size - 1))
+
+
 def unsplit_expm1(model, h):
     """Phi - I for the step map Phi of the whole rate-basis embedding, all components in one set."""
     return dynamics._embedding_expm1(model, h, np.arange(model.dim ** 2)[None])[0]

@@ -407,6 +407,26 @@ class TestEvolveCommand:
         assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         assert calls == {"lindblad_dissipator": 1, "jump_superoperator": 1}
 
+    @pytest.mark.parametrize("model_cfg", [
+        # sigma_+- jumps: each coherence is a set of one frequency, which one event takes to 0
+        "model.jump_matrices = 0,1;0,0|0,0;1,0\n",
+        # a qutrit ladder with a cyclic-shift jump: {rho_01, rho_12, rho_20} precess
+        "model.hamiltonian = matrix\nmodel.h_matrix = 0,0,0;0,1,0;0,0,2\n"
+        "model.jump_matrices = 0,0,1;1,0,0;0,1,0\n",
+    ], ids=["sigma_pm", "qutrit_cyclic"])
+    def test_solver_triangle_on_split_sets(self, tmp_path, model_cfg):
+        # the Monte Carlo moments of sets of one frequency come from the count
+        # histogram, of the rest from event rounds; each unraveling still meets
+        # the solver that it converges to
+        text = TWO_STATE_CFG.replace("ensemble,volterra", "ensemble,volterra,mc_frozen,mc_renewal")
+        cfg = write_cfg(tmp_path, text + "model.jumps = matrix\nmodel.picture = schroedinger\n"
+                        + model_cfg)
+        out = str(tmp_path / "out")
+        assert run_cli("evolve", "--config", cfg, "--out", out) == 0
+        summary = load_json(os.path.join(out, "evolve_summary.json"))
+        assert set(summary["mc_max_z"]) == {"mc_frozen", "mc_renewal"}
+        assert max(summary["mc_max_z"].values()) < 4.0
+
     def test_empty_solver_list_is_noop(self, tmp_path, capsys):
         text = TWO_STATE_CFG.replace("ensemble,volterra", "")
         cfg = write_cfg(tmp_path, text)
@@ -541,21 +561,25 @@ class TestCliContract:
                               text=True, timeout=120)
 
     def test_memory_error_exits_3_with_one_line(self, tmp_path):
-        # 3e8 fitpow times need 2.2 GiB
-        proc = self.run_capped(tmp_path, "fitpow", MANIFOLD_CFG + "fitpow.points = 300000000\n")
+        # 3e8 trajectories need 2.4 GB of stream state, within the event budget at t_max = 1
+        proc = self.run_capped(tmp_path, "evolve",
+                               P_UP_CFG.format(0.5) + MC_PROBE_CFG + "grid.t_max = 1\n")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("runtime error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command,cfg_text,exit_code", [
-        # 2e8 grid times need 1.6 GB
-        ("evolve", "grid.steps = 200000000\n", 3),
+        # 2e8 grid times would need 1.6 GB: above the output-cell budget
+        ("evolve", "grid.steps = 200000000\n", 2),
         # 3e8 trajectories need 2.4 GB of stream state; with the default t_max
         # of 13.3 they would draw up to 8e9 events, above the event budget
         ("evolve", MC_PROBE_CFG, 2),
         ("evolve", MC_PROBE_CFG + "grid.t_max = 1\n", 3),
-        # a 1e5 x 1e5 correlator surface
-        ("correlate", "grid.corr_t_steps = 100000\ngrid.tau_steps = 100000\n", 3),
-    ], ids=["evolve_steps", "mc_trajectories_budget", "mc_trajectories", "correlate_steps"])
+        # a 1e5 x 1e5 correlator surface: above the output-cell budget
+        ("correlate", "grid.corr_t_steps = 100000\ngrid.tau_steps = 100000\n", 2),
+        # 3e8 fitpow times would need 2.2 GiB: above the output-cell budget
+        ("fitpow", "fitpow.points = 300000000\n", 2),
+    ], ids=["evolve_steps", "mc_trajectories_budget", "mc_trajectories", "correlate_steps",
+            "fitpow_points"])
     def test_memory_probes_end_in_one_line(self, tmp_path, command, cfg_text, exit_code):
         proc = self.run_capped(tmp_path, command, P_UP_CFG.format(0.5) + cfg_text)
         assert proc.returncode == exit_code, proc.stderr

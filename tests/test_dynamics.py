@@ -11,9 +11,9 @@ from nmbath import _mc, cli, dynamics, qops, qrt, ratebath
 from nmbath.qops import SIGMA_X, SIGMA_Z, IDENTITY_2
 
 from helpers import (apply_superop, count_histogram_two_bincounts, ensemble_propagators,
-                     exact_memory_superop, gather_scatter_events, generator, propagate,
-                     rate_basis_generator, single_rate_ensemble, trajectory_moments,
-                     unsplit_expm1, volterra_pole_basis, volterra_stepped)
+                     event_round_moments, exact_memory_superop, gather_scatter_events,
+                     generator, propagate, rate_basis_generator, single_rate_ensemble,
+                     trajectory_moments, unsplit_expm1, volterra_pole_basis, volterra_stepped)
 
 RHO_PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 RHO_XY = 0.5 * (IDENTITY_2 + (SIGMA_X + nm.SIGMA_Y) / np.sqrt(2.0))
@@ -984,26 +984,178 @@ class TestEigenbasisRoute:
                 assert np.max(np.abs(a - b)) < 1e-14
 
     def test_feature_widths_of_the_bench_model(self, monkeypatch):
-        # sigma_z precession with sigma_x events: W is a permutation, so the
-        # forward string sums the 3 entries that the rows i <= j read and their
-        # 3 squares; the reversed string sums, for each of those 3 rows, 3
-        # frequency bins and 3 differences of frequency
-        widths = []
-        event_sums = _mc._event_sums
+        # sigma_z precession with sigma_x events: W is a permutation, the
+        # populations are a coupled set of frequency 0 and only the coherence
+        # pair {rho_01, rho_10} precesses.  Event rounds: the forward string
+        # sums the one entry y_01 that a row reads and its square; the
+        # reversed string, for the one row that reads rho_01, 2 frequency bins
+        # and 2 differences of frequency.  The count histogram takes the rest
+        # as complex columns (Re, Im pairs): forward, the 2 populations and
+        # their squares; reversed, for each of the 2 population rows, 1 bin
+        # and its square
+        widths, hist = [], []
+        event_sums, count_histogram_sums = _mc._event_sums, _mc._count_histogram_sums
 
         def spy(*args):
             sums = event_sums(*args)
             widths.append(sums.shape[1])
             return sums
 
+        def hist_spy(cols, *args):
+            hist.append(cols.shape[1])
+            return count_histogram_sums(cols, *args)
+
         monkeypatch.setattr(_mc, "_event_sums", spy)
+        monkeypatch.setattr(_mc, "_count_histogram_sums", hist_spy)
         model = sigma_x_model(self.ENSEMBLE)
         tg = nm.time_grid(3.0, 30)
         for sample, composition in ((_mc.sample_frozen_events, "forward"),
                                     (_mc.sample_renewal_events, "reversed")):
             self.moments(model, tg, *sample(3, 50, tg[-1], self.ENSEMBLE.rates,
                                             self.ENSEMBLE.weights), composition)
-        assert widths == [6, 18]
+        assert widths == [2, 4]
+        assert hist == [8, 8]
+
+
+class TestPerSetRoute:
+    """Coupled sets of E' with one frequency take the count histogram; the rest take event rounds.
+
+    The reference carries every column through the event rounds on the same
+    events (:func:`helpers.event_round_moments`).
+    """
+
+    ENSEMBLE = TestEigenbasisRoute.ENSEMBLE
+    SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+    SHIFT = np.roll(np.eye(3), 1, axis=0)
+
+    CASES = ["bench", "sigma_pm", "ladder", "cyclic", "measured", "dense"]
+
+    def model(self, case):
+        rng = np.random.default_rng(70)
+        if case == "bench":
+            return sigma_x_model(self.ENSEMBLE, omega=1.7)
+        if case == "sigma_pm":
+            # the coherences are sets of one column each, of frequency w or -w
+            # but not both, and E' takes them to 0
+            return nm.ModelSpec(0.6 * SIGMA_Z, (self.SIGMA_PLUS, self.SIGMA_PLUS.T),
+                                self.ENSEMBLE, "schroedinger")
+        if case == "ladder":
+            # lowering |0><1| + |1><2| and |2><0| on unequal steps: rho_12
+            # (frequency -1.5) and rho_01 (frequency -1) are one set
+            wrap = np.zeros((3, 3))
+            wrap[2, 0] = 1.0
+            return nm.ModelSpec(np.diag([0.0, 1.0, 2.5]), (np.diag([1.0, 1.0], k=1), wrap),
+                                self.ENSEMBLE, "schroedinger")
+        if case == "cyclic":
+            # {rho_01, rho_12, rho_20}: frequencies -1, -1 and 2
+            return nm.ModelSpec(np.diag([0.0, 1.0, 2.0]), (self.SHIFT,), self.ENSEMBLE,
+                                "schroedinger")
+        if case == "measured":
+            # eigenstates |+->, mixtures of |0> and |1>, and |2>; the event
+            # measures whether the state is in {|0>, |1>}, so E' takes rho_+2
+            # and rho_-2 to 0: sets of one column each, of different
+            # frequencies, which the row rho_02 reads together
+            H = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+            return nm.ModelSpec(H, (np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])),
+                                self.ENSEMBLE, "schroedinger")
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return nm.ModelSpec(A + A.conj().T, random_normalized_jumps(rng, d=3), self.ENSEMBLE,
+                            "schroedinger")
+
+    def v0(self, d):
+        return qops.vectorize(random_density(np.random.default_rng(71), d))
+
+    def both(self, model, tg, times, off, composition):
+        args = (self.v0(model.dim), tg, times, off, model.hamiltonian, model.E, composition)
+        return _mc.run_trajectories(*args), event_round_moments(*args)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_event_rounds(self, case):
+        model = self.model(case)
+        tg = nm.time_grid(3.0, 30)
+        ens = self.ENSEMBLE
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(6, 500, tg[-1], ens.rates, ens.weights)
+            (mean, stderr), (ref_mean, ref_stderr) = self.both(model, tg, times, off, composition)
+            if case == "dense":
+                # one coupled set: the event rounds of every column, bit for bit
+                assert np.array_equal(mean, ref_mean) and np.array_equal(stderr, ref_stderr)
+            assert np.max(np.abs(mean - ref_mean)) < 1e-14
+            assert np.max(np.abs(stderr - ref_stderr)) < 1e-14
+            assert np.all(stderr[1:].max(axis=1) > 0)
+
+    def test_pair_joins_a_static_and_a_moving_set(self, monkeypatch):
+        # (W, lam) given directly, with 0/1 entries so that E' = W^T E W is
+        # exact: E' swaps columns 1 and 2 (frequency 0) and columns 0 and 3
+        # (frequencies -1 and 1), and output row 0 reads columns 0 and 1
+        # together, so the forward string must carry both in event rounds
+        W = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+        swap = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+        Winv = np.rint(np.linalg.inv(W.real))
+        E = Winv.T @ swap @ Winv
+        monkeypatch.setattr(_mc, "_eigenbasis", lambda H: (W, 1j * np.array([-1.0, 0, 0, 1])))
+        assert np.array_equal(W.T @ E @ W, swap)
+        tg = nm.time_grid(3.0, 30)
+        ens = self.ENSEMBLE
+        v0 = self.v0(2)
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(9, 500, tg[-1], ens.rates, ens.weights)
+            args = (v0, tg, times, off, np.eye(2), E, composition)
+            for a, b in zip(_mc.run_trajectories(*args), event_round_moments(*args)):
+                assert np.max(np.abs(a - b)) < 1e-14
+
+    @pytest.mark.parametrize("case", ["ladder", "cyclic"])
+    def test_precessing_sets_of_uneven_spectrum(self, case):
+        # the moving sets hold w without -w: the event rounds against dense
+        # propagators between events
+        model = self.model(case)
+        tg = nm.time_grid(3.0, 30)
+        ens = self.ENSEMBLE
+        v0 = self.v0(model.dim)
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(10, 200, tg[-1], ens.rates, ens.weights)
+            mean, stderr = _mc.run_trajectories(v0, tg, times, off, model.hamiltonian, model.E,
+                                                composition)
+            ref_mean, ref_stderr = trajectory_moments(v0, tg, times, off, model.L_H, model.E,
+                                                      composition)
+            assert np.max(np.abs(mean - ref_mean)) < 1e-12
+            assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
+
+    def test_sigma_pm_coherences_vanish_after_one_event(self):
+        # E' is 0 on the coherences: every trajectory with an event has rho_01 = 0
+        model = self.model("sigma_pm")
+        v0 = self.v0(2)
+        tg = nm.time_grid(3.0, 30)
+        times, off = np.array([0.0, 1.0]), np.array([0, 1, 2])
+        for composition in ("forward", "reversed"):
+            mean, _ = _mc.run_trajectories(v0, tg, times, off, model.hamiltonian, model.E,
+                                           composition)
+            assert not np.any(mean[-1, 1:3])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_edge_streams_and_blocks(self, case, monkeypatch):
+        # one trajectory, trajectories without events, events on grid times;
+        # then blocks small enough to split the histogram and the event rounds
+        model = self.model(case)
+        tg = nm.time_grid(3.0, 30)
+        ens = self.ENSEMBLE
+        for composition in ("forward", "reversed"):
+            for times, off in EDGE_STREAMS:
+                times, off = np.asarray(times, dtype=float), np.asarray(off)
+                (mean, stderr), (ref_mean, ref_stderr) = self.both(
+                    model, EDGE_GRID, times, off, composition)
+                assert np.max(np.abs(mean - ref_mean)) < 1e-14
+                assert np.max(np.abs(stderr - ref_stderr)) < 1e-14
+            times, off = _mc.sample_renewal_events(8, 300, tg[-1], ens.rates, ens.weights)
+            whole = self.both(model, tg, times, off, composition)[1]
+            monkeypatch.setattr(_mc, "HIST_CELLS", 7)
+            blocks = self.both(model, tg, times, off, composition)[0]
+            monkeypatch.undo()
+            for a, b in zip(whole, blocks):
+                assert np.max(np.abs(a - b)) < 1e-14
 
 
 @pytest.mark.parametrize("route", ["count_histogram", "eigenbasis"])
@@ -1033,8 +1185,8 @@ def test_mean_is_hermitian(route, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sorted_frequencies_are_odd(d):
-    # the eigenbasis route takes D(-s) as D(s) reversed, which needs
-    # omega[::-1] == -omega exactly, degenerate spectra included
+    # _eigenbasis sorts the frequencies of L_H so that omega[::-1] == -omega
+    # exactly, degenerate spectra included
     rng = np.random.default_rng(40 + d)
     A = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
     hamiltonians = [*(A + A.conj().transpose(0, 2, 1)),
