@@ -1,21 +1,25 @@
 """Monte Carlo trajectory engine.
 
 Each trajectory applies the event map E at its sampled event times, with the
-coherent propagator exp(t L_H) in between.  Moments on the time grid come
-from one of two routes, both sums over trajectories that change only at
-events:
+coherent propagator exp(t L_H) in between.  Written in the eigenbasis W of
+L_H, from ``eigh`` of H, a trajectory's state changes only at events, and so
+do the sums over trajectories that give the moments on the time grid.  Each
+output row reads a few columns of that basis:
 
-* ``count_histogram`` - without coherent evolution a trajectory is just
-  E^N(t) v0, so the sums over trajectories are fixed by how many trajectories
-  have had k events by each grid time.  The counts are exact integers.
-* ``eigenbasis`` - otherwise each trajectory is written in the eigenbasis of
-  L_H, from ``eigh`` of H, where its state is constant between events; each
-  event adds the change of the few linear and quadratic combinations of the
-  state that the output reads to a difference array over the grid.
-  Trajectories lie on the contiguous last axis, in order of event count.
+* still rows - every column the row reads lies in a coupled set of
+  E' = W^dag E W whose frequencies are all equal.  The evolution between
+  events is a scalar phase there, so a trajectory with N events is at
+  W E'^N W^dag v0 under both operator orderings, and the sums over
+  trajectories are fixed by how many trajectories have had k events by each
+  grid time.  The counts are exact integers.  Without coherent evolution
+  every row is still, with W = I.
+* moving rows - each event adds the change of the few linear and quadratic
+  combinations of the state that the row reads to a difference array over
+  the grid.  Trajectories lie on the contiguous last axis, in order of
+  event count.
 
-Every state is a density matrix, so both routes compute only the entries
-i <= j of the mean and fill the rest by Hermitian symmetry.
+Every state is a density matrix, so only the entries i <= j of the mean
+are computed; Hermitian symmetry gives the rest.
 
 Event times come from a counter-based splitmix64 generator keyed by
 (seed, trajectory index): every trajectory's sample path is a pure function
@@ -159,7 +163,7 @@ def _grid_rows(tgrid, t):
     return g
 
 
-def _count_histogram_sums(cols, tgrid, ev_times, ev_off, row=None):
+def _count_histogram_sums(cols, tgrid, ev_times, ev_off, row):
     """Sum over trajectories of ``cols[N_i(t_k)]`` at every grid time t_k.
 
     N_i(t) is the number of events of trajectory i up to and including t.  The
@@ -167,13 +171,17 @@ def _count_histogram_sums(cols, tgrid, ev_times, ev_off, row=None):
     trajectory from count c - 1 to c, so it is the running sum over time of a
     difference array.  Grid times are taken in blocks of at most
     ``HIST_CELLS`` histogram cells.  ``row`` is ``_grid_rows(tgrid,
-    ev_times)`` where the caller has it already.
+    ev_times)``.
     """
     n, nt, ncol = ev_off.size - 1, tgrid.size, cols.shape[0]
     # an event that takes its trajectory to count c >= 1 is in cell k ncol + c
     # of the first t_k >= its time ("left"), past the last cell if past the grid
-    cell = (_grid_rows(tgrid, ev_times) if row is None else row) * ncol
-    cell += np.arange(1, ev_times.size + 1) - np.repeat(ev_off[:-1], np.diff(ev_off))
+    # in place, one event-sized temporary at a time (the caller still holds
+    # ``row``): one more live array of that size made the H = None route ~20%
+    # slower at 4e4 events
+    cell = row * ncol
+    cell += np.arange(1, ev_times.size + 1)
+    cell -= np.repeat(ev_off[:-1], np.diff(ev_off))
     hist = np.zeros(ncol, dtype=np.int64)
     hist[0] = n
     out = np.empty((nt, cols.shape[1]))
@@ -264,7 +272,7 @@ def _runs(omega):
 
 
 def _fold(z, zc, q, ops):
-    """Write the products z_(g+k) conj(z_g) of features z (rows, nz, m) into q by ``ops``.
+    """Write the products z_(g+k) conj(z_g) of the features z[:, g] into q by ``ops``.
 
     ``zc`` is conj(z); ``ops`` is from :func:`_fold_plan`.
     """
@@ -358,28 +366,28 @@ def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
     return np.cumsum(diff[:nt], axis=0)
 
 
-def _power_sums(tgrid, ev_times, ev_off, row, state0, A, P, ops, nq):
-    """:func:`_event_sums` where D(s) is a scalar on every coupled set of A.
+def _power_sums(tgrid, ev_times, ev_off, row, x0, A, lin, ops, nq):
+    """Sums over trajectories of the features of A^N x0, N the event count, at every grid time.
 
-    There D(-s) A D(s) = A: a trajectory with N events is at A^N x0, row by
-    row, and the event-count histogram weights the features of the powers.
+    The features are the entries y = (A^N x0 - x0)[lin], then the products
+    y_(g+k) conj(y_g) folded into ``nq`` features by ``ops``
+    (:func:`_fold_plan`).  They depend on a trajectory only through its
+    event count, so the event-count histogram weights them.
     """
-    x = [state0]
-    for _ in range(int(np.diff(ev_off).max(initial=0))):
-        x.append(x[-1] @ A.T)
-    z = P @ np.stack(x, axis=2) - P @ state0[:, :, None]
-    q = np.empty((z.shape[0], nq, z.shape[2]), dtype=np.complex128)
-    _fold(z, z.conj(), q, ops)
+    x = np.empty((int(np.diff(ev_off).max(initial=0)) + 1, x0.size), dtype=np.complex128)
+    x[0] = x0
+    for k in range(1, len(x)):
+        np.matmul(A, x[k - 1], out=x[k])
     # complex features as Re, Im column pairs, at count k in row k
-    cols = np.concatenate([z, q], axis=1).reshape(-1, z.shape[2]).T.copy().view(np.float64)
-    return _count_histogram_sums(cols, tgrid, ev_times, ev_off, row).view(np.complex128)
+    f = np.empty((len(x), lin.size + nq), dtype=np.complex128)
+    y = np.subtract(x[:, lin], x0[lin], out=f[:, :lin.size])
+    _fold(y, y.conj(), f[:, lin.size:], ops)
+    sums = _count_histogram_sums(f.view(np.float64), tgrid, ev_times, ev_off, row)
+    return sums.view(np.complex128)
 
 
 def _eigenbasis(H):
-    """(W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, stably sorted by frequency.
-
-    fl(E_a - E_b) = -fl(E_b - E_a), so the sorted frequencies are odd.
-    """
+    """(W, lam) with exp(t L_H) = W diag(exp(lam t)) W^dag, stably sorted by frequency."""
     energies, U = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
     d = energies.size
     lam = -1j * (np.tile(energies, d) - np.repeat(energies, d))
@@ -408,34 +416,33 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     map chronologically (the frozen-rate unraveling of the exact average)
     while "reversed" attaches the drawn gaps to the unitaries in reverse,
     which is the string whose renewal average solves the effective
-    memory-kernel equation.  Without ``H`` both orderings give E^N(t) v0 and
-    the moments come from event-count histograms.  Otherwise each trajectory
-    is written in the eigenbasis (W, lam) of L_H (:func:`_eigenbasis`), where
-    its state changes only at events, with E' = W^dag E W:
+    memory-kernel equation.  Each trajectory is written in the eigenbasis
+    (W, lam) of L_H (:func:`_eigenbasis`), where its state changes only at
+    events, with E' = W^dag E W and c0 = W^dag v0.  Output row i reads the
+    columns a with W[i, a] != 0.
 
-    * forward: v(t) = W (exp(lam t) * c), with c <- D(-s) E' D(s) c at each
-      event from c = W^dag v0.  Only the entries y_a of y = c - W^dag v0
-      that an output row of W reads, and only the products y_a conj(y_b)
-      that one reads with y_b, are summed;
-    * reversed: v(t) = B (exp(lam t) * W^dag v0), with B <- B D(s) E' D(-s)
-      at each event from B = W.  Row i of B reaches the output only as
-      sum_f exp(i w_f t) z_if, where z_if sums (B - W)_ij (W^dag v0)_j over
-      the columns j of frequency w_f; |.|^2 needs the products
-      z_if conj(z_ig) only summed over the pairs of one difference
+    * A row is still when every column that it reads lies in a coupled set
+      of E' whose frequencies are all equal.  D(s) = diag(exp(lam s)) is a
+      scalar on such a set, so a trajectory with N events is at W E'^N c0
+      there under both orderings.  All still rows take one
+      :func:`_power_sums`: the entries y_a of y = E'^N c0 - c0 that they
+      read, and the products y_a conj(y_b) that one of them reads with y_b.
+      Without ``H``, W = I and every row is still; ``eigh`` is skipped.
+    * The other rows take the event rounds of :func:`_event_sums` on the
+      columns of the sets that they touch.  Forward: v(t) = W (exp(lam t) *
+      c), with c <- D(-s) E' D(s) c at each event from c = c0, and the same
+      entries and products as a still row.  Reversed: v(t) = B (exp(lam t)
+      * c0), with B <- B D(s) E' D(-s) at each event from B = W.  Row i of B
+      reaches the output only as sum_f exp(i w_f t) z_if, where z_if sums
+      (B - W)_ij c0_j over the columns j of frequency w_f; |.|^2 needs the
+      products z_if conj(z_ig) only summed over the pairs of one difference
       w_f - w_g.
 
-    The columns split into the coupled sets of E' (for the forward string,
-    of E' and of the pairs that one output row reads together).  On a set
-    whose frequencies are all equal D(s) is a scalar, so D(-s) E' D(s) = E'
-    there and a trajectory with N events is at a power of E'
-    (:func:`_power_sums`); only the other sets, and the rows of B that touch
-    them, take the event rounds of :func:`_event_sums`.
-
-    Both routes sum the moments of v(t) - a(t), where a(t) is the trajectory
-    without events (v0, or W (exp(lam t) * W^dag v0)), and add a(t) back to
-    the mean: the standard error is exactly 0 where no trajectory has left
-    a(t), not the square root of round-off.  Every state is a density matrix,
-    so only the entries i <= j are computed; :func:`_mirror` fills the rest.
+    Both sum the moments of v(t) - a(t), where a(t) is the trajectory
+    without events, W (exp(lam t) * c0), and add a(t) back to the mean: the
+    standard error is exactly 0 where no trajectory has left a(t), not the
+    square root of round-off.  Every state is a density matrix, so only the
+    entries i <= j are computed; :func:`_mirror` fills the rest.
     """
     if composition not in ("forward", "reversed"):
         raise ValueError(f"unknown composition {composition!r}")
@@ -445,73 +452,61 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     ev_times = np.ascontiguousarray(ev_times, dtype=np.float64)
     ev_off = np.ascontiguousarray(ev_off, dtype=np.int64)
     E = np.ascontiguousarray(E, dtype=np.complex128)
-    dsq = v0.size
-    d = math.isqrt(dsq)
+    d = math.isqrt(v0.size)
     up = _upper(d)[0]
     n = ev_off.size - 1
     nt = tgrid.size
+    # "left": an event exactly at t_k counts at t_k
+    row = _grid_rows(tgrid, ev_times)
 
     if H is None:
-        powers = np.empty((int(np.diff(ev_off).max(initial=0)) + 1, dsq), dtype=np.complex128)
-        powers[0] = v0
-        for k in range(1, len(powers)):
-            powers[k] = E @ powers[k - 1]
-        powers = np.ascontiguousarray(powers[:, up] - v0[up])
+        # W = I: row i reads its entry up[i] alone
         nu = up.size
-        # columns: Re and Im of E^k v0 - v0 interleaved, then |E^k v0 - v0|^2
-        cols = np.hstack([powers.view(np.float64), powers.real**2 + powers.imag**2])
-        sums = _count_histogram_sums(cols, tgrid, ev_times, ev_off)
-        dev_sum = np.ascontiguousarray(sums[:, :2 * nu]).view(np.complex128)
-        return _mirror(d, *_mean_stderr(v0[up], dev_sum, sums[:, 2 * nu:], n))
+        ops, _ = _fold_plan(nu, lambda k, g: g if k == 0 else None)
+        feat = _power_sums(tgrid, ev_times, ev_off, row, v0, E, up, ops, nu)
+        return _mirror(d, *_mean_stderr(v0[up], feat[:, :nu], feat[:, nu:].real, n))
 
     W, lam = _eigenbasis(H)
     omega = lam.imag
     E_eig = W.conj().T @ E @ W
     c0 = W.conj().T @ v0
     phases = np.exp(np.outer(tgrid, lam))
-    x = phases * c0
     Wu = W[up]
     reads = Wu != 0
     # the trajectory without events, W (exp(lam t) * c0), under both strings
-    ref = x @ Wu.T
-    # "left": an event exactly at t_k counts at t_k
-    row = _grid_rows(tgrid, ev_times)
-    dev_sum = np.zeros((nt, up.size), dtype=np.complex128)
-    dev_sq = np.zeros((nt, up.size))
-
-    def sums(part, C, state0, A, P, ops, nq):
-        # part: the sets of C each have one frequency
-        if part:
-            return _power_sums(tgrid, ev_times, ev_off, row, state0, A, P, ops, nq)
-        return _event_sums(tgrid, ev_times, ev_off, row, state0, omega[C], A, P, ops, nq)
-
-    if composition == "forward":
-        # the entries y_a that some output row reads, and the pairs it reads together
-        lin = np.flatnonzero(np.any(reads, axis=0))
-        label, static = _sets((E_eig != 0) | (reads.T @ reads), omega)
-        Y = Wu[:, lin] * phases[:, None, lin]
-        for part in np.unique(static[lin]):
-            lp = np.flatnonzero(static[lin] == part)
-            C = np.flatnonzero(np.isin(label, label[lin[lp]]))
-            Wl = Wu[:, lin[lp]]
-            ops, pairs = _fold_plan(lp.size, lambda k, g: (
+    ref = (phases * c0) @ Wu.T
+    label, static = _sets(E_eig != 0, omega)
+    # a row is still when every column that it reads lies in a set of one frequency
+    still = np.all(static | ~reads, axis=1)
+    dev_sum = np.empty((nt, up.size), dtype=np.complex128)
+    dev_sq = np.empty((nt, up.size))
+    for is_still in (True, False):
+        rows = np.flatnonzero(still == is_still)
+        if rows.size == 0:
+            continue
+        # the columns that the rows read, and all columns of the sets of those
+        lin = np.flatnonzero(np.any(reads[rows], axis=0))
+        C = np.flatnonzero(np.isin(label, label[lin]))
+        A = E_eig[np.ix_(C, C)]
+        if is_still or composition == "forward":
+            # the entries y_a that the rows read, and the pairs that one of them reads together
+            Wl = Wu[np.ix_(rows, lin)]
+            ops, pairs = _fold_plan(lin.size, lambda k, g: (
                 (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
-            feat = sums(part, C, c0[None, C], E_eig[np.ix_(C, C)],
-                        np.eye(C.size, dtype=np.complex128)[np.searchsorted(C, lin[lp])],
-                        ops, len(pairs))
-            dev_sum += np.einsum("kia,ka->ki", Y[:, :, lp], feat[:, :lp.size])
+            at = np.searchsorted(C, lin)
+            if is_still:
+                feat = _power_sums(tgrid, ev_times, ev_off, row, c0[C], A, at, ops, len(pairs))
+            else:
+                feat = _event_sums(tgrid, ev_times, ev_off, row, c0[None, C], omega[C], A,
+                                   np.eye(C.size, dtype=np.complex128)[at], ops, len(pairs))
+            Y = Wl * phases[:, None, lin]
+            dev_sum[:, rows] = np.einsum("kia,ka->ki", Y, feat[:, :lin.size])
             k, g = np.array(pairs).T
             # an off-diagonal product stands for itself and its conjugate
-            quad = feat[:, lp.size:] * np.where(k == 0, 1.0, 2.0)
-            dev_sq += np.einsum("kic,kc,kic->ki", Y[:, :, lp[g + k]], quad,
-                                Y[:, :, lp[g]].conj()).real
-    else:
-        label, static = _sets(E_eig != 0, omega)
-        # a row of B is static when every set that it touches is
-        still = np.all(static | ~reads, axis=1)
-        for part in np.unique(still):
-            rows = np.flatnonzero(still == part)
-            C = np.flatnonzero(np.isin(label, label[np.any(reads[rows], axis=0)]))
+            quad = feat[:, lin.size:] * np.where(k == 0, 1.0, 2.0)
+            dev_sq[:, rows] = np.einsum("kic,kc,kic->ki", Y[:, :, g + k], quad,
+                                        Y[:, :, g].conj()).real
+        else:
             # the columns of each distinct frequency, weighted by c0; and the
             # pairs of bins folded by their difference of frequency
             starts = _runs(omega[C])
@@ -520,8 +515,8 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
             P[np.searchsorted(w, omega[C]), np.arange(C.size)] = c0[C]
             ops, pairs = _fold_plan(nz, lambda k, g: w[g + k] - w[g])
             # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
-            feat = sums(part, C, Wu[np.ix_(rows, C)], E_eig[np.ix_(C, C)].T, P, ops,
-                        len(pairs)).reshape(nt, rows.size, -1)
+            feat = _event_sums(tgrid, ev_times, ev_off, row, Wu[np.ix_(rows, C)], omega[C], A.T,
+                               P, ops, len(pairs)).reshape(nt, rows.size, -1)
             dev_sum[:, rows] = np.einsum("kif,kf->ki", feat[:, :, :nz], phases[:, C[starts]])
             k, g = np.array(pairs).T
             nu = w[g + k] - w[g]

@@ -845,7 +845,8 @@ class TestCountHistogram:
             times, off = np.asarray(times, dtype=float), np.asarray(off, dtype=np.int64)
             ncol = int(np.diff(off).max(initial=0)) + 1
             cols = np.random.default_rng(ncol).normal(size=(ncol, 5))
-            got = _mc._count_histogram_sums(cols, grid, times, off)
+            got = _mc._count_histogram_sums(cols, grid, times, off,
+                                            _mc._grid_rows(grid, times))
             ref = count_histogram_two_bincounts(cols, grid, times, off, _mc.HIST_CELLS)
             assert np.array_equal(got, ref)
 
@@ -948,8 +949,7 @@ class TestEigenbasisRoute:
             for H in (0.7 * np.eye(d), np.zeros((d, d))):
                 mean, stderr = _mc.run_trajectories(self.V0[d], tg, times, off, H, E,
                                                     composition=composition)
-                assert np.max(np.abs(mean - ref_mean)) < 1e-12
-                assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
+                assert np.array_equal(mean, ref_mean) and np.array_equal(stderr, ref_stderr)
 
     def test_blocks_of_trajectories(self, monkeypatch):
         model = self.models()[1]
@@ -989,10 +989,9 @@ class TestEigenbasisRoute:
         # pair {rho_01, rho_10} precesses.  Event rounds: the forward string
         # sums the one entry y_01 that a row reads and its square; the
         # reversed string, for the one row that reads rho_01, 2 frequency bins
-        # and 2 differences of frequency.  The count histogram takes the rest
-        # as complex columns (Re, Im pairs): forward, the 2 populations and
-        # their squares; reversed, for each of the 2 population rows, 1 bin
-        # and its square
+        # and 2 differences of frequency.  The count histogram takes the 2
+        # still population rows as complex columns (Re, Im pairs) on both
+        # strings: the 2 populations and their squares
         widths, hist = [], []
         event_sums, count_histogram_sums = _mc._event_sums, _mc._count_histogram_sums
 
@@ -1084,6 +1083,26 @@ class TestPerSetRoute:
             assert np.max(np.abs(mean - ref_mean)) < 1e-14
             assert np.max(np.abs(stderr - ref_stderr)) < 1e-14
             assert np.all(stderr[1:].max(axis=1) > 0)
+
+    @pytest.mark.parametrize("case", ["bench", "sigma_pm", "ladder", "cyclic", "measured"])
+    def test_still_rows_do_not_depend_on_the_string(self, case):
+        # a row that reads only sets of one frequency is at W E'^N c0 under
+        # both orderings: on one event stream both strings give the same bits
+        model = self.model(case)
+        W, lam = _mc._eigenbasis(model.hamiltonian)
+        static = np.zeros(lam.size, dtype=bool)
+        for sets in qops.coupled_sets(W.conj().T @ model.E @ W != 0):
+            static[sets] = np.all(lam[sets] == lam[sets[:, :1]], axis=1)[:, None]
+        still = np.all(static | (W == 0), axis=1)
+        assert still.any() and (case != "sigma_pm" or still.all())
+        tg = nm.time_grid(3.0, 30)
+        ens = self.ENSEMBLE
+        times, off = _mc.sample_frozen_events(6, 500, tg[-1], ens.rates, ens.weights)
+        forward, reversed_ = (_mc.run_trajectories(self.v0(model.dim), tg, times, off,
+                                                   model.hamiltonian, model.E, composition)
+                              for composition in ("forward", "reversed"))
+        for a, b in zip(forward, reversed_):
+            assert np.array_equal(a[:, still], b[:, still])
 
     def test_pair_joins_a_static_and_a_moving_set(self, monkeypatch):
         # (W, lam) given directly, with 0/1 entries so that E' = W^T E W is
