@@ -13,10 +13,12 @@ output row reads a few columns of that basis:
   trajectories are fixed by how many trajectories have had k events by each
   grid time.  The counts are exact integers.  Without coherent evolution
   every row is still, with W = I.
-* moving rows - each event adds the change of the few linear and quadratic
-  combinations of the state that the row reads to a difference array over
-  the grid.  Trajectories lie on the contiguous last axis, in order of
-  event count.
+* moving rows - the forward string carries one state, which each row reads
+  through its row of W; the reversed string carries one state per row, its
+  row of B, which it reads through c0.  Each event adds the change of the
+  entries that a readout touches, and of their pairwise products, to a
+  difference array over the grid.  Trajectories lie on the contiguous last
+  axis, in order of event count.
 
 Every state is a density matrix, so only the entries i <= j of the mean
 are computed; Hermitian symmetry gives the rest.
@@ -235,34 +237,22 @@ def _mirror(d, mean, stderr):
     return full_mean, full_stderr
 
 
-def _fold_plan(nz, key):
-    """Slice operations that fold the products z_(g+k) conj(z_g), k >= 0, into features.
+def _pair_plan(nz, read):
+    """Slice operations that write the products y_(g+k) conj(y_g), k >= 0, as features.
 
-    ``key(k, g)`` names the feature that the pair (g + k, g) adds to, or is
-    None where no output reads the pair.  Features are numbered in order of
-    first appearance, diagonal k after diagonal k - 1.  Returns (ops, pairs):
-    op (k, g0, g1, c, fold, first) covers the pairs g0 <= g < g1 of diagonal
-    k; with ``fold`` their sum goes to feature c (written by the feature's
-    first op, added by the rest), otherwise pair g writes feature
-    c + g - g0.  ``pairs[c]`` is the first pair (k, g) of feature c.
+    ``read(k, g)`` says whether a readout touches the pair (g + k, g).
+    Features are numbered in order, diagonal k after diagonal k - 1.  Returns
+    (ops, pairs): op (k, g0, g1, c) covers the pairs g0 <= g < g1 of diagonal
+    k, pair g writing feature c + g - g0; ``pairs[c]`` is the pair (k, g) of
+    feature c.
     """
-    kept = [(k, g, key(k, g)) for k in range(nz) for g in range(nz - k)]
-    kept = [(k, g, name) for k, g, name in kept if name is not None]
-    feature, pairs, size = {}, [], {}
-    for k, g, name in kept:
-        if name not in feature:
-            feature[name] = len(pairs)
-            pairs.append((k, g))
-        size[name] = size.get(name, 0) + 1
+    pairs = [(k, g) for k in range(nz) for g in range(nz - k) if read(k, g)]
     ops = []
-    for k, g, name in kept:
-        c, fold = feature[name], size[name] > 1
-        if ops:
-            k1, g0, g1, c1, fold1, first = ops[-1]
-            if (k1, g1, fold1) == (k, g, fold) and c == (c1 if fold else c1 + g - g0):
-                ops[-1] = (k, g0, g + 1, c1, fold, first)
-                continue
-        ops.append((k, g, g + 1, c, fold, fold and pairs[c] == (k, g)))
+    for c, (k, g) in enumerate(pairs):
+        if ops and ops[-1][0] == k and ops[-1][2] == g:
+            ops[-1] = (k, ops[-1][1], g + 1, ops[-1][3])
+        else:
+            ops.append((k, g, g + 1, c))
     return ops, pairs
 
 
@@ -271,36 +261,29 @@ def _runs(omega):
     return np.flatnonzero(np.diff(omega, prepend=-np.inf))
 
 
-def _fold(z, zc, q, ops):
-    """Write the products z_(g+k) conj(z_g) of the features z[:, g] into q by ``ops``.
+def _products(y, yc, q, ops):
+    """Write the products y_(g+k) conj(y_g) of the entries y[:, g] into q by ``ops``.
 
-    ``zc`` is conj(z); ``ops`` is from :func:`_fold_plan`.
+    ``yc`` is conj(y); ``ops`` is from :func:`_pair_plan`.
     """
-    for k, g0, g1, c, fold, first in ops:
-        a, b = z[:, g0 + k:g1 + k], zc[:, g0:g1]
-        if not fold:
-            np.multiply(a, b, out=q[:, c:c + g1 - g0])
-        elif first:
-            np.add.reduce(a * b, axis=1, out=q[:, c])
-        else:
-            q[:, c] += (a * b).sum(axis=1)
+    for k, g0, g1, c in ops:
+        np.multiply(y[:, g0 + k:g1 + k], yc[:, g0:g1], out=q[:, c:c + g1 - g0])
 
 
-def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
+def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, lin, ops, nq):
     """Sums over trajectories of each state's features at every grid time.
 
     A state is a (rows, D) array; every trajectory starts in ``state0`` and
     changes state only at its events, where each row x maps to D(-s) A D(s) x,
     D(s) = diag(exp(i omega s)) with ``omega`` sorted.  One complex exp per
     distinct |omega| > 0 gives D(s): the columns of -|omega| take its
-    conjugate, and D(-s) is conj(D(s)).  The features of a row are
-    z = P (x - x0), where x0 is its row of ``state0``, then the products
-    z_(g+k) conj(z_g) folded into ``nq`` features by ``ops``
-    (:func:`_fold_plan`), row after row.  They are constant between events,
-    so each event adds features(new) - features(old) to a difference array at
-    the first grid time t_g >= s (``row``, from :func:`_grid_rows`), and one
-    running sum over time, from 0, gives their sums: all 0 until the first
-    event.
+    conjugate, and D(-s) is conj(D(s)).  The features of a row are the
+    entries y = (x - x0)[lin], where x0 is its row of ``state0``, then the
+    ``nq`` products y_(g+k) conj(y_g) of ``ops`` (:func:`_pair_plan`), row
+    after row.  They are constant between events, so each event adds
+    features(new) - features(old) to a difference array at the first grid
+    time t_g >= s (``row``, from :func:`_grid_rows`), and one running sum
+    over time, from 0, gives their sums: all 0 until the first event.
 
     Trajectories are sorted by event count (stable, descending) and taken in
     blocks of at most ``HIST_CELLS`` cells of states and features, held as
@@ -310,11 +293,11 @@ def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
     """
     nt = tgrid.size
     rows, D = state0.shape
-    nz = P.shape[0]
+    nz = lin.size
     nf = nz + nq
     width = rows * nf
     x0 = state0[:, :, None]
-    z0 = P @ x0
+    y0 = x0[:, lin]
     # for each distinct w = |omega| > 0, the columns [p0, p1) of +w and [m0, m1) of -w
     starts = _runs(omega)
     run = {omega[j0]: (j0, j1) for j0, j1 in zip(starts, [*starts[1:], D])}
@@ -334,7 +317,7 @@ def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
     ph_buf = np.ones((2, D, block), dtype=np.complex128)
     e_buf = np.empty((2, block), dtype=np.complex128)
     tmp = np.empty((rows, D, block), dtype=np.complex128)
-    zc_buf = np.empty((rows, nz, block), dtype=np.complex128)
+    yc_buf = np.empty((rows, nz, block), dtype=np.complex128)
     for i0 in range(0, order.size, block):
         idx = order[i0:i0 + block]
         first = ev_off[idx]
@@ -355,11 +338,10 @@ def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
             np.multiply(old_x[:, :, :m], ph, out=tmp[:, :, :m])
             np.matmul(A, tmp[:, :, :m], out=new_x)
             np.multiply(new_x, phc, out=new_x)
-            z, zc = new_f[:, :nz], zc_buf[:, :, :m]
-            np.matmul(P, new_x, out=z)
-            z -= z0
-            np.conjugate(z, out=zc)
-            _fold(z, zc, new_f[:, nz:], ops)
+            y, yc = new_f[:, :nz], yc_buf[:, :, :m]
+            np.subtract(new_x[:, lin], y0, out=y)
+            np.conjugate(y, out=yc)
+            _products(y, yc, new_f[:, nz:], ops)
             delta = new_f if old_f is None else new_f - old_f[:, :, :m]
             np.add.at(flat, (cols + row[k] * width).ravel(), delta.ravel())
             old_x, old_f = new_x, new_f
@@ -369,10 +351,10 @@ def _event_sums(tgrid, ev_times, ev_off, row, state0, omega, A, P, ops, nq):
 def _power_sums(tgrid, ev_times, ev_off, row, x0, A, lin, ops, nq):
     """Sums over trajectories of the features of A^N x0, N the event count, at every grid time.
 
-    The features are the entries y = (A^N x0 - x0)[lin], then the products
-    y_(g+k) conj(y_g) folded into ``nq`` features by ``ops``
-    (:func:`_fold_plan`).  They depend on a trajectory only through its
-    event count, so the event-count histogram weights them.
+    The features are the entries y = (A^N x0 - x0)[lin], then the ``nq``
+    products y_(g+k) conj(y_g) of ``ops`` (:func:`_pair_plan`).  They depend
+    on a trajectory only through its event count, so the event-count
+    histogram weights them.
     """
     x = np.empty((int(np.diff(ev_off).max(initial=0)) + 1, x0.size), dtype=np.complex128)
     x[0] = x0
@@ -381,7 +363,7 @@ def _power_sums(tgrid, ev_times, ev_off, row, x0, A, lin, ops, nq):
     # complex features as Re, Im column pairs, at count k in row k
     f = np.empty((len(x), lin.size + nq), dtype=np.complex128)
     y = np.subtract(x[:, lin], x0[lin], out=f[:, :lin.size])
-    _fold(y, y.conj(), f[:, lin.size:], ops)
+    _products(y, y.conj(), f[:, lin.size:], ops)
     sums = _count_histogram_sums(f.view(np.float64), tgrid, ev_times, ev_off, row)
     return sums.view(np.complex128)
 
@@ -424,22 +406,25 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     * A row is still when every column that it reads lies in a coupled set
       of E' whose frequencies are all equal.  D(s) = diag(exp(lam s)) is a
       scalar on such a set, so a trajectory with N events is at W E'^N c0
-      there under both orderings.  All still rows take one
-      :func:`_power_sums`: the entries y_a of y = E'^N c0 - c0 that they
-      read, and the products y_a conj(y_b) that one of them reads with y_b.
-      Without ``H``, W = I and every row is still; ``eigh`` is skipped.
+      there under both orderings, and all still rows take one
+      :func:`_power_sums` over the state E'^N c0.  Without ``H``, W = I and
+      every row is still; ``eigh`` is skipped.
     * The other rows take the event rounds of :func:`_event_sums` on the
-      columns of the sets that they touch.  Forward: v(t) = W (exp(lam t) *
-      c), with c <- D(-s) E' D(s) c at each event from c = c0, and the same
-      entries and products as a still row.  Reversed: v(t) = B (exp(lam t)
-      * c0), with B <- B D(s) E' D(-s) at each event from B = W.  Row i of B
-      reaches the output only as sum_f exp(i w_f t) z_if, where z_if sums
-      (B - W)_ij c0_j over the columns j of frequency w_f; |.|^2 needs the
-      products z_if conj(z_ig) only summed over the pairs of one difference
-      w_f - w_g.
+      columns C of the sets that they touch.  Forward: v(t) = W (exp(lam t)
+      * c), with c <- D(-s) E' D(s) c at each event from c = c0.  Reversed:
+      v(t) = B (exp(lam t) * c0), with B <- B D(s) E' D(-s) at each event
+      from B = W; each row x of B over C is a state of its own,
+      x <- D(-s) E'^T D(s) x.
 
-    Both sum the moments of v(t) - a(t), where a(t) is the trajectory
-    without events, W (exp(lam t) * c0), and add a(t) back to the mean: the
+    Row i reads a state through weights V_ia: W[i, a] for the one state c,
+    c0_a for its own row of B.  The routes sum the entries y_a of the state
+    minus its start that a readout touches, and the products y_a conj(y_b)
+    of the pairs that one readout touches together.  Then the moments of
+    v(t) - a(t), where a(t) = W (exp(lam t) * c0) is the trajectory without
+    events, are sum_a V_ia exp(lam_a t) y_a and the real part of
+    sum V_ia conj(V_ib) exp(i (w_a - w_b) t) y_a conj(y_b), twice for
+    a != b.  A row whose readout touches no column, where c0 vanishes on C,
+    stays on a(t).  a(t) is added back to the mean, so the
     standard error is exactly 0 where no trajectory has left a(t), not the
     square root of round-off.  Every state is a density matrix, so only the
     entries i <= j are computed; :func:`_mirror` fills the rest.
@@ -462,7 +447,7 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     if H is None:
         # W = I: row i reads its entry up[i] alone
         nu = up.size
-        ops, _ = _fold_plan(nu, lambda k, g: g if k == 0 else None)
+        ops, _ = _pair_plan(nu, lambda k, g: k == 0)
         feat = _power_sums(tgrid, ev_times, ev_off, row, v0, E, up, ops, nu)
         return _mirror(d, *_mean_stderr(v0[up], feat[:, :nu], feat[:, nu:].real, n))
 
@@ -478,48 +463,40 @@ def run_trajectories(v0, tgrid, ev_times, ev_off, H, E, composition="forward"):
     label, static = _sets(E_eig != 0, omega)
     # a row is still when every column that it reads lies in a set of one frequency
     still = np.all(static | ~reads, axis=1)
-    dev_sum = np.empty((nt, up.size), dtype=np.complex128)
-    dev_sq = np.empty((nt, up.size))
+    dev_sum = np.zeros((nt, up.size), dtype=np.complex128)
+    dev_sq = np.zeros((nt, up.size))
     for is_still in (True, False):
         rows = np.flatnonzero(still == is_still)
-        if rows.size == 0:
-            continue
         # the columns that the rows read, and all columns of the sets of those
         lin = np.flatnonzero(np.any(reads[rows], axis=0))
         C = np.flatnonzero(np.isin(label, label[lin]))
         A = E_eig[np.ix_(C, C)]
         if is_still or composition == "forward":
-            # the entries y_a that the rows read, and the pairs that one of them reads together
-            Wl = Wu[np.ix_(rows, lin)]
-            ops, pairs = _fold_plan(lin.size, lambda k, g: (
-                (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
-            at = np.searchsorted(C, lin)
-            if is_still:
-                feat = _power_sums(tgrid, ev_times, ev_off, row, c0[C], A, at, ops, len(pairs))
-            else:
-                feat = _event_sums(tgrid, ev_times, ev_off, row, c0[None, C], omega[C], A,
-                                   np.eye(C.size, dtype=np.complex128)[at], ops, len(pairs))
-            Y = Wl * phases[:, None, lin]
-            dev_sum[:, rows] = np.einsum("kia,ka->ki", Y, feat[:, :lin.size])
-            k, g = np.array(pairs).T
-            # an off-diagonal product stands for itself and its conjugate
-            quad = feat[:, lin.size:] * np.where(k == 0, 1.0, 2.0)
-            dev_sq[:, rows] = np.einsum("kic,kc,kic->ki", Y[:, :, g + k], quad,
-                                        Y[:, :, g].conj()).real
+            # one state c over C, which row i reads through W[i, lin]
+            V, state0 = Wu[np.ix_(rows, lin)], c0[None, C]
         else:
-            # the columns of each distinct frequency, weighted by c0; and the
-            # pairs of bins folded by their difference of frequency
-            starts = _runs(omega[C])
-            nz, w = starts.size, omega[C[starts]]
-            P = np.zeros((nz, C.size), dtype=np.complex128)
-            P[np.searchsorted(w, omega[C]), np.arange(C.size)] = c0[C]
-            ops, pairs = _fold_plan(nz, lambda k, g: w[g + k] - w[g])
-            # each row x of B maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
-            feat = _event_sums(tgrid, ev_times, ev_off, row, Wu[np.ix_(rows, C)], omega[C], A.T,
-                               P, ops, len(pairs)).reshape(nt, rows.size, -1)
-            dev_sum[:, rows] = np.einsum("kif,kf->ki", feat[:, :, :nz], phases[:, C[starts]])
-            k, g = np.array(pairs).T
-            nu = w[g + k] - w[g]
-            quad = np.exp(1j * np.outer(tgrid, nu)) * np.where(k == 0, 1.0, 2.0)
-            dev_sq[:, rows] = np.einsum("kic,kc->ki", feat[:, :, nz:], quad).real
+            # one state per row, its row x of B over C, read through c0; x
+            # maps as x <- x D(s) E' D(-s), that is x <- D(-s) E'^T D(s) x
+            lin = C[c0[C] != 0]
+            V, state0, A = c0[None, lin], Wu[np.ix_(rows, C)], A.T
+        if lin.size == 0:
+            # no rows, or c0 vanishes on C: the rows stay on a(t)
+            continue
+        # the entries y_a that a readout touches, and the pairs that one readout touches together
+        at = np.searchsorted(C, lin)
+        ops, pairs = _pair_plan(lin.size, lambda k, g: np.any(V[:, g + k] * V[:, g].conj()))
+        if is_still:
+            feat = _power_sums(tgrid, ev_times, ev_off, row, c0[C], A, at, ops, len(pairs))
+        else:
+            feat = _event_sums(tgrid, ev_times, ev_off, row, state0, omega[C], A, at, ops,
+                               len(pairs))
+        # (nt, states, features): one state for every row, or one per row
+        feat = feat.reshape(nt, -1, lin.size + len(pairs))
+        Y = V * phases[:, None, lin]
+        dev_sum[:, rows] = np.einsum("kia,kia->ki", Y, feat[:, :, :lin.size])
+        k, g = np.array(pairs).T
+        # an off-diagonal product stands for itself and its conjugate
+        quad = feat[:, :, lin.size:] * np.where(k == 0, 1.0, 2.0)
+        dev_sq[:, rows] = np.einsum("kic,kic,kic->ki", Y[:, :, g + k], quad,
+                                    Y[:, :, g].conj()).real
     return _mirror(d, *_mean_stderr(ref, dev_sum, dev_sq, n))

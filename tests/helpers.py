@@ -257,28 +257,18 @@ def event_round_moments(v0, tgrid, times, off, H, E, composition):
     row = _mc._grid_rows(tgrid, times)
     if composition == "forward":
         lin = np.flatnonzero(np.any(Wu != 0, axis=0))
-        Wl = Wu[:, lin]
-        ops, pairs = _mc._fold_plan(lin.size, lambda k, g: (
-            (k, g) if np.any(Wl[:, g + k] * Wl[:, g].conj()) else None))
-        sums = _mc._event_sums(tgrid, times, off, row, c0[None], omega, E_eig,
-                               np.eye(v0.size, dtype=complex)[lin], ops, len(pairs))
-        Y = Wl * phases[:, None, lin]
-        dev_sum = np.einsum("kia,ka->ki", Y, sums[:, :lin.size])
-        k, g = np.array(pairs).T
-        quad = sums[:, lin.size:] * np.where(k == 0, 1.0, 2.0)
-        dev_sq = np.einsum("kic,kc,kic->ki", Y[:, :, g + k], quad, Y[:, :, g].conj()).real
+        V, state0, A = Wu[:, lin], c0[None], E_eig
     else:
-        starts = _mc._runs(omega)
-        nz, w = starts.size, omega[starts]
-        P = np.zeros((nz, v0.size), dtype=complex)
-        P[np.searchsorted(starts, np.arange(v0.size), side="right") - 1, np.arange(v0.size)] = c0
-        ops, pairs = _mc._fold_plan(nz, lambda k, g: w[g + k] - w[g])
-        sums = _mc._event_sums(tgrid, times, off, row, Wu, omega, E_eig.T, P, ops,
-                               len(pairs)).reshape(nt, up.size, -1)
-        dev_sum = np.einsum("kif,kf->ki", sums[:, :, :nz], phases[:, starts])
-        k, g = np.array(pairs).T
-        quad = np.exp(1j * np.outer(tgrid, w[g + k] - w[g])) * np.where(k == 0, 1.0, 2.0)
-        dev_sq = np.einsum("kic,kc->ki", sums[:, :, nz:], quad).real
+        lin = np.flatnonzero(c0)
+        V, state0, A = c0[None, lin], Wu, E_eig.T
+    ops, pairs = _mc._pair_plan(lin.size, lambda k, g: np.any(V[:, g + k] * V[:, g].conj()))
+    sums = _mc._event_sums(tgrid, times, off, row, state0, omega, A, lin, ops,
+                           len(pairs)).reshape(nt, -1, lin.size + len(pairs))
+    Y = V * phases[:, None, lin]
+    dev_sum = np.einsum("kia,kia->ki", Y, sums[:, :, :lin.size])
+    k, g = np.array(pairs).T
+    quad = sums[:, :, lin.size:] * np.where(k == 0, 1.0, 2.0)
+    dev_sq = np.einsum("kic,kic,kic->ki", Y[:, :, g + k], quad, Y[:, :, g].conj()).real
     return _mc._mirror(d, *_mc._mean_stderr(ref, dev_sum, dev_sq, off.size - 1))
 
 

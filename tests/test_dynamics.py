@@ -937,7 +937,7 @@ class TestEigenbasisRoute:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_frequencies_match_the_count_histogram(self, d):
-        # H = c I: one frequency bin, 0, and none positive; a trajectory is E^N(t) v0
+        # H = c I: every frequency is 0, and a trajectory is E^N(t) v0
         E = qops.jump_superoperator(random_normalized_jumps(np.random.default_rng(31), d=d))
         tg = nm.time_grid(3.0, 30)
         rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
@@ -970,9 +970,9 @@ class TestEigenbasisRoute:
         tg = nm.time_grid(3.0, 30)
         rates, weights = self.ENSEMBLE.rates, self.ENSEMBLE.weights
         # cells per trajectory: forward, one row of 4 entries and 4 + 10 features;
-        # reversed, the 3 rows i <= j of 4 entries and 3 + 3 features (frequencies -w, 0, w)
+        # reversed, the 3 rows i <= j of 4 entries and the same 4 + 10 features
         for sample, seed, composition, cells in ((_mc.sample_frozen_events, 14, "forward", 18),
-                                                 (_mc.sample_renewal_events, 5, "reversed", 30)):
+                                                 (_mc.sample_renewal_events, 5, "reversed", 54)):
             times, off = sample(seed, 1000, tg[-1], rates, weights)
             groups = np.bincount(np.diff(off))
             assert 1000 % 7 and np.all(groups[groups > 0] % 7)
@@ -988,10 +988,10 @@ class TestEigenbasisRoute:
         # populations are a coupled set of frequency 0 and only the coherence
         # pair {rho_01, rho_10} precesses.  Event rounds: the forward string
         # sums the one entry y_01 that a row reads and its square; the
-        # reversed string, for the one row that reads rho_01, 2 frequency bins
-        # and 2 differences of frequency.  The count histogram takes the 2
-        # still population rows as complex columns (Re, Im pairs) on both
-        # strings: the 2 populations and their squares
+        # reversed string, for the one row that reads rho_01, the 2 entries
+        # of its row of B that c0 reads and their 3 pairs.  The count
+        # histogram takes the 2 still population rows as complex columns
+        # (Re, Im pairs) on both strings: the 2 populations and their squares
         widths, hist = [], []
         event_sums, count_histogram_sums = _mc._event_sums, _mc._count_histogram_sums
 
@@ -1012,7 +1012,7 @@ class TestEigenbasisRoute:
                                     (_mc.sample_renewal_events, "reversed")):
             self.moments(model, tg, *sample(3, 50, tg[-1], self.ENSEMBLE.rates,
                                             self.ENSEMBLE.weights), composition)
-        assert widths == [2, 4]
+        assert widths == [2, 5]
         assert hist == [8, 8]
 
 
@@ -1154,6 +1154,23 @@ class TestPerSetRoute:
                                            composition)
             assert not np.any(mean[-1, 1:3])
 
+    def test_diagonal_start_leaves_the_coherences_unread(self):
+        # c0 vanishes on the precessing set {rho_01, rho_10}: the reversed
+        # readout of its rows touches no column, and they stay on a(t)
+        model = sigma_x_model(self.ENSEMBLE)
+        v0 = qops.vectorize(np.diag([0.7, 0.3]))
+        tg = nm.time_grid(3.0, 30)
+        ens = self.ENSEMBLE
+        for sample, composition in ((_mc.sample_frozen_events, "forward"),
+                                    (_mc.sample_renewal_events, "reversed")):
+            times, off = sample(11, 200, tg[-1], ens.rates, ens.weights)
+            mean, stderr = _mc.run_trajectories(v0, tg, times, off, model.hamiltonian, model.E,
+                                                composition)
+            ref_mean, ref_stderr = trajectory_moments(v0, tg, times, off, model.L_H, model.E,
+                                                      composition)
+            assert np.max(np.abs(mean - ref_mean)) < 1e-12
+            assert np.max(np.abs(stderr - ref_stderr)) < 1e-9
+
     @pytest.mark.parametrize("case", CASES)
     def test_edge_streams_and_blocks(self, case, monkeypatch):
         # one trajectory, trajectories without events, events on grid times;
@@ -1204,7 +1221,8 @@ def test_mean_is_hermitian(route, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sorted_frequencies_are_odd(d):
-    # _eigenbasis sorts the frequencies of L_H so that omega[::-1] == -omega
+    # _eigenbasis sorts the frequencies of L_H ascending, so that equal values
+    # are contiguous for _runs and _event_sums, and omega[::-1] == -omega
     # exactly, degenerate spectra included
     rng = np.random.default_rng(40 + d)
     A = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
@@ -1212,6 +1230,7 @@ def test_sorted_frequencies_are_odd(d):
                     *(np.diag(rng.integers(-2, 3, size=d)).astype(float) for _ in range(10))]
     for H in hamiltonians:
         W, lam = _mc._eigenbasis(H)
+        assert np.all(np.diff(lam.imag) >= 0)
         assert np.array_equal(lam.imag[::-1], -lam.imag)
         assert np.allclose(W @ np.diag(np.exp(0.3 * lam)) @ W.conj().T,
                            scipy.linalg.expm(0.3 * qops.hamiltonian_liouvillian(H)), atol=1e-12)
